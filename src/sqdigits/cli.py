@@ -9,7 +9,7 @@ Subcommands::
     typesums   type I / type II sums with their parameter plans
     decay      |sum Lambda(n) f(n^2)| / x along a list of x values
 
-Reports are JSON (schema ``report-v1``, validated by the shipped
+Reports are JSON (schema ``report-v2``, validated by the shipped
 ``report_schema.json``) or CSV; identical config + seed produces byte
 identical files.  gamma is accepted only as an exact rational string
 ("1/2", "3"); floating gamma would silently break the exact phase
@@ -37,14 +37,14 @@ from . import expsums as xs
 from .errors import CapacityError, DomainError, PreconditionError
 from .qmult import StronglyQMultiplicative, is_proper, make_digit_exponential
 
-SCHEMA = "report-v1"
+SCHEMA = "report-v2"
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
-_GAMMA_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_GAMMA_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")  # a nonzero denominator
 
 EXPSUM_FAMILIES = (
     "geometric",
@@ -70,7 +70,6 @@ class RunConfig:
     x: int = 10**6
     theta: float = 0.0
     seed: int = 1
-    threads: int = 1
     output_path: str = "-"
     format: str = "json"
     mu: int = 6
@@ -85,16 +84,29 @@ class RunConfig:
 def _parse_gamma(text: str) -> str:
     if not _GAMMA_RE.match(text):
         raise argparse.ArgumentTypeError(
-            f"gamma must be an exact rational like 1/2, got {text!r}"
+            f"gamma must be an exact rational like 1/2 with a nonzero denominator, got {text!r}"
         )
     return text
 
 
-def _parse_x(text: str) -> int:
-    try:
-        return int(float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad x value {text!r}") from exc
+def _checked(convert, valid, what: str):
+    """An argparse type: convert, then reject values failing valid, naming what."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except (ValueError, OverflowError) as exc:
+            raise argparse.ArgumentTypeError(f"bad value {text!r}") from exc
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"{what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_parse_x = _checked(lambda text: int(float(text)), lambda x: x >= 2, "x must be >= 2")
+_parse_theta = _checked(float, math.isfinite, "theta must be finite")
+_parse_exponent = _checked(int, lambda k: k >= 1, "mu and nu must be >= 1")
 
 
 def _parse_xs(text: str) -> tuple[int, ...]:
@@ -113,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", type=_parse_gamma, default="1/2",
                        help="exact rational phase step, e.g. 1/2")
         p.add_argument("--seed", type=int, default=1, help="seed for all randomized sweeps")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (recorded)")
         p.add_argument("--output", default="-", help="report path, - for stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -134,35 +145,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("typesums", help="type I / type II sums and parameter plans")
     common(p)
-    p.add_argument("--mu", type=int, default=6)
-    p.add_argument("--nu", type=int, default=10)
-    p.add_argument("--theta", type=float, default=0.0)
+    p.add_argument("--mu", type=_parse_exponent, default=6)
+    p.add_argument("--nu", type=_parse_exponent, default=10)
+    p.add_argument("--theta", type=_parse_theta, default=0.0)
 
     p = sub.add_parser("decay", help="Lambda-weighted decay trend")
     common(p)
     p.add_argument("--xs", type=_parse_xs, default=(10**4, 10**5, 10**6),
                    help="comma-separated x values")
-    p.add_argument("--theta", type=float, default=0.0)
+    p.add_argument("--theta", type=_parse_theta, default=0.0)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        q=args.q,
-        m=getattr(args, "m", 2),
-        gamma=args.gamma,
-        x=getattr(args, "x", 10**6),
-        theta=getattr(args, "theta", 0.0),
-        seed=args.seed,
-        threads=args.threads,
-        output_path=args.output,
-        format=args.format,
-        mu=getattr(args, "mu", 6),
-        nu=getattr(args, "nu", 10),
-        family=getattr(args, "family", "geometric"),
-        xs_list=getattr(args, "xs", (10**4, 10**5, 10**6)),
-    )
+    """The flags of one subcommand; the fields it has no flag for keep their defaults."""
+    renamed = {"output": "output_path", "xs": "xs_list"}
+    return RunConfig(**{renamed.get(k, k): v for k, v in vars(args).items()})
 
 
 @dataclass
@@ -472,8 +470,6 @@ def _typesums_results(config: RunConfig) -> dict:
 
 def run(config: RunConfig) -> int:
     """Execute one command and write its report; returns the exit code."""
-    if config.threads < 1:
-        raise PreconditionError(f"threads must be >= 1, got {config.threads}")
     violation = False
     if config.command == "verify":
         rows = _verify_rows(config)
@@ -493,29 +489,14 @@ def run(config: RunConfig) -> int:
     elif config.command == "constants":
         results = _constants_results(config)
     elif config.command == "equidist":
-        report = harness.equidist_counts(config.x, config.q, config.m)
-        results = {
-            "x": report.x,
-            "q": report.q,
-            "m": report.m,
-            "counts": list(report.counts),
-            "pi_x": report.pi_x,
-            "max_rel_discrepancy": report.max_rel_discrepancy,
-            "coprime_to_q_minus_1": report.coprime_to_q_minus_1,
-        }
+        results = asdict(harness.equidist_counts(config.x, config.q, config.m))
     elif config.command == "expsum":
         results = _expsum_rows(config)
         violation = any(row["pass"] is False for row in results)
     elif config.command == "typesums":
         results = _typesums_results(config)
     elif config.command == "decay":
-        f = _f_of(config)
-        fit = harness.decay_fit(list(config.xs_list), f, config.theta)
-        results = {
-            "xs": list(fit.xs),
-            "values": list(fit.values),
-            "fitted_exponent": fit.fitted_exponent,
-        }
+        results = asdict(harness.decay_fit(list(config.xs_list), _f_of(config), config.theta))
     else:
         raise PreconditionError(f"unknown command {config.command!r}")
 

@@ -40,8 +40,6 @@ TABLE_CAPACITY = 1 << 24
 GRID_DENSITY = 4096
 REFINE_TOL = 1e-10
 
-_TWO_PI = 2.0 * math.pi
-
 
 def _as_array(t) -> np.ndarray:
     return np.asarray(t, dtype=np.float64)

@@ -7,9 +7,9 @@ The centerpiece sums are
     S_I       = sum_m |sum_{n in I(m)} f(m^2 n^2) e(theta m n)|     (type I)
 
 together with the residue counts of s_q(p^2) mod m over primes.  All big
-sweeps run on vectorized digit arithmetic (uint64, phase lookup per digit)
-with numpy's pairwise reduction; identical inputs therefore give bitwise
-identical reports.
+sweeps run on one blocked digit-additive kernel (uint64, k digits per table
+lookup, rational phases exact until the final exp) with numpy's pairwise
+reduction; identical inputs therefore give bitwise identical reports.
 
 Parameter plans reproduce the explicit recipes used to make the type II
 and type I machinery non-trivial: every derived quantity is integer
@@ -24,44 +24,97 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .digits import checked_pow
 from .errors import CapacityError, PreconditionError
-from .qmult import StronglyQMultiplicative, phase_of
-from .sieve import prime_arrays
+from .qmult import StronglyQMultiplicative, _cached_numerators, phase_of
+from .sieve import prime_arrays, primes_up_to
 
 LAMBDA_SUM_CAP = 10**8
 TYPE_SUM_CAP = 1 << 26
 
 
+# The digit kernel reads k base-q digits per pass from a table of the q**k
+# digit-block weight sums (the largest k with q**k <= DIGIT_TABLE_CAP, at least
+# 1), over blocks of KERNEL_BLOCK values so that its temporaries stay small.
+# At most 64 passes each add an entry below D, so the exact int64 numerator
+# sums of rational phases stay below 2**63 while D < EXACT_DENOM_LIMIT.
+DIGIT_TABLE_CAP = 1 << 16
+KERNEL_BLOCK = 1 << 16
+EXACT_DENOM_LIMIT = 1 << 57
+
+
+def _block_table(weights: np.ndarray, modulus: int | float | None) -> tuple[np.ndarray, int]:
+    """(table, q**k): table[j] is the weight sum (mod modulus) of the k base-q digits of j."""
+    table, size, q = weights, len(weights), len(weights)
+    while size * q <= DIGIT_TABLE_CAP:
+        table = (table[:, None] + weights).ravel()  # j = a*q + b
+        table = table if modulus is None else table % modulus
+        size *= q
+    table.flags.writeable = False
+    return table, size
+
+
+@lru_cache(maxsize=64)
+def _sum_table(q: int) -> tuple[np.ndarray | None, int]:
+    """None stands for the identity weights where they would outgrow the table cap."""
+    return (None, q) if q > DIGIT_TABLE_CAP else _block_table(np.arange(q, dtype=np.uint64), None)
+
+
+@lru_cache(maxsize=64)
+def _phase_table(f: StronglyQMultiplicative) -> tuple[np.ndarray, int, int | float]:
+    """(table, q**k, modulus): numerators mod D, or float phases mod 1 where not exact."""
+    if f.exact:
+        denom, nums = _cached_numerators(f)
+        if denom < EXACT_DENOM_LIMIT:
+            return (*_block_table(np.array(nums, dtype=np.int64), denom), denom)
+    return (*_block_table(np.array([float(p) for p in f.phases]), 1.0), 1.0)
+
+
+def _digit_additive(values: np.ndarray, table: np.ndarray | None, size: int) -> np.ndarray:
+    """Sum of table[d] (of d for table None) over the base-`size` digits d of each value."""
+    flat = np.asarray(values, dtype=np.uint64).reshape(-1)
+    out = np.empty(flat.shape, dtype=np.uint64 if table is None else table.dtype)
+    radix = np.uint64(size)
+    for start in range(0, flat.size, KERNEL_BLOCK):
+        block = flat[start : start + KERNEL_BLOCK]
+        acc = out[start : start + KERNEL_BLOCK]
+        high, low = np.divmod(block, radix)
+        acc[:] = low if table is None else table[low]
+        top = int(block.max()) // size  # one pass per remaining digit of the largest value
+        while top:
+            np.divmod(high, radix, out=(high, low))
+            acc += low if table is None else table[low]
+            top //= size
+    return out.reshape(np.shape(values))
+
+
 def digit_sums_array(values: np.ndarray, q: int) -> np.ndarray:
     """Base-q digit sums of a uint64 array."""
-    v = values.astype(np.uint64, copy=True)
-    out = np.zeros(v.shape, dtype=np.uint64)
-    qq = np.uint64(q)
-    while v.max(initial=np.uint64(0)) > 0:
-        out += v % qq
-        v //= qq
-    return out
+    return _digit_additive(values, *_sum_table(q))
 
 
 def phase_array(f: StronglyQMultiplicative, values: np.ndarray) -> np.ndarray:
-    """Accumulated phases (mod 1) of f at a uint64 array, float64 lookup path."""
-    lookup = np.array([float(p) for p in f.phases], dtype=np.float64)
-    v = values.astype(np.uint64, copy=True)
-    out = np.zeros(v.shape, dtype=np.float64)
-    qq = np.uint64(f.q)
-    while v.max(initial=np.uint64(0)) > 0:
-        out += lookup[(v % qq).astype(np.int64)]
-        v //= qq
-    return np.mod(out, 1.0)
+    """Accumulated phases (mod 1) of f at a uint64 array; rational phases stay
+    exact numerators until one division, so entries equal float(phase_of(f, n))."""
+    table, size, modulus = _phase_table(f)
+    return (_digit_additive(values, table, size) % modulus) / modulus
 
 
 def values_array(f: StronglyQMultiplicative, values: np.ndarray) -> np.ndarray:
     """f at a uint64 array as unit complex numbers."""
     return np.exp(2j * np.pi * phase_array(f, values))
+
+
+def _twisted_square(f: StronglyQMultiplicative, n: np.ndarray, theta: float) -> np.ndarray:
+    """f(n^2) e(theta n) at a uint64 array n."""
+    phases = phase_array(f, n * n)
+    if theta != 0.0:
+        phases += np.mod(theta * n.astype(np.float64), 1.0)
+    return np.exp(2j * np.pi * phases)
 
 
 @dataclass(frozen=True)
@@ -103,20 +156,18 @@ def equidist_counts(x: int, q: int, m: int) -> EquidistReport:
 def lambda_weighted_sum(x: int, f: StronglyQMultiplicative, theta: float) -> complex:
     """sum_{n <= x} Lambda(n) f(n^2) e(theta n).
 
-    Only prime powers contribute; primes are handled in vectorized blocks,
-    the O(sqrt x) higher powers exactly one by one.
+    Only prime powers contribute; primes are handled in vectorized blocks of
+    KERNEL_BLOCK, the O(sqrt x) higher powers exactly one by one.
     """
     if x > LAMBDA_SUM_CAP:
         raise CapacityError(f"x = {x} exceeds the cap {LAMBDA_SUM_CAP}")
     total = 0.0 + 0.0j
     for arr in prime_arrays(x):
-        p = arr.astype(np.uint64)
-        weights = np.log(arr.astype(np.float64))
-        phases = phase_array(f, p * p)
-        if theta != 0.0:
-            phases = phases + np.mod(theta * arr.astype(np.float64), 1.0)
-        total += complex(np.sum(weights * np.exp(2j * np.pi * phases)))
-    for p in _primes_list(math.isqrt(x)):
+        for start in range(0, len(arr), KERNEL_BLOCK):
+            p = arr[start : start + KERNEL_BLOCK]
+            g = _twisted_square(f, p.astype(np.uint64), theta)
+            total += complex(np.sum(np.log(p.astype(np.float64)) * g))
+    for p in primes_up_to(math.isqrt(x)):
         logp = math.log(p)
         pk = p * p
         while pk <= x:
@@ -124,13 +175,6 @@ def lambda_weighted_sum(x: int, f: StronglyQMultiplicative, theta: float) -> com
             total += logp * complex(np.exp(2j * np.pi * (phase % 1.0)))
             pk *= p
     return total
-
-
-def _primes_list(x: int) -> list[int]:
-    out: list[int] = []
-    for arr in prime_arrays(x):
-        out.extend(int(p) for p in arr)
-    return out
 
 
 @dataclass(frozen=True)
@@ -181,11 +225,7 @@ def type2_S20(
         )
     if np.max(np.abs(a)) > 1 + 1e-12 or np.max(np.abs(b)) > 1 + 1e-12:
         raise ValueError("coefficients must have modulus at most 1")
-    mn = np.outer(m, n)
-    phases = phase_array(f, mn * mn)
-    if theta != 0.0:
-        phases = phases + np.mod(theta * mn.astype(np.float64), 1.0)
-    g = np.exp(2j * np.pi * phases)
+    g = _twisted_square(f, np.outer(m, n), theta)
     return complex(np.sum(a[:, None] * b[None, :] * g))
 
 
@@ -218,11 +258,7 @@ def type1_SI(
             n = n_full
         if len(n) == 0:
             continue
-        mn = m * n
-        phases = phase_array(f, mn * mn)
-        if theta != 0.0:
-            phases = phases + np.mod(theta * mn.astype(np.float64), 1.0)
-        g = np.exp(2j * np.pi * phases)
+        g = _twisted_square(f, m * n, theta)
         if maximize:
             suffix = np.cumsum(g[::-1])
             total += float(np.max(np.abs(suffix)))
@@ -338,11 +374,7 @@ def _vaughan_rows(x: int, q: int, M: int, f: StronglyQMultiplicative, theta: flo
         if n_hi <= n_lo:
             continue
         n = np.arange(n_lo + 1, n_hi + 1, dtype=np.uint64)
-        mn = np.uint64(m) * n
-        phases = phase_array(f, mn * mn)
-        if theta != 0.0:
-            phases = phases + np.mod(theta * mn.astype(np.float64), 1.0)
-        rows.append((n_lo + 1, np.exp(2j * np.pi * phases)))
+        rows.append((n_lo + 1, _twisted_square(f, np.uint64(m) * n, theta)))
     return rows
 
 

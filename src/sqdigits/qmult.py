@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .digits import rep_window, to_digits
+from .digits import rep_window
 
 Phase = Fraction | float
 
@@ -62,15 +62,11 @@ class StronglyQMultiplicative:
         return tuple(e(float(p)) for p in self.phases)
 
 
-def _phase_numerators(f: StronglyQMultiplicative) -> tuple[int, tuple[int, ...]]:
+@lru_cache(maxsize=64)
+def _cached_numerators(f: StronglyQMultiplicative) -> tuple[int, tuple[int, ...]]:
     """(common denominator D, numerators) with phases[b] = num[b]/D, exact path."""
     denom = math.lcm(*(p.denominator for p in f.phases))
     return denom, tuple(int(p * denom) for p in f.phases)
-
-
-@lru_cache(maxsize=64)
-def _cached_numerators(f: StronglyQMultiplicative) -> tuple[int, tuple[int, ...]]:
-    return _phase_numerators(f)
 
 
 def make_digit_exponential(q: int, gamma: Fraction | float) -> StronglyQMultiplicative:
@@ -151,13 +147,3 @@ def eval_truncated(f: StronglyQMultiplicative, a: int, kappa1: int, kappa2: int)
     q-multiplicative function ignores powers of q: f(q**k * u) = f(u).
     """
     return evaluate(f, rep_window(a, kappa1, kappa2, f.q))
-
-
-def truncated_phase(f: StronglyQMultiplicative, a: int, kappa1: int, kappa2: int) -> Phase:
-    """Phase of eval_truncated, reduced mod 1."""
-    return phase_of(f, rep_window(a, kappa1, kappa2, f.q))
-
-
-def digit_list(n: int, q: int) -> list[int]:
-    """Convenience re-export of the digit decomposition."""
-    return to_digits(n, q)

@@ -40,7 +40,6 @@ class SieveSegment:
     lo: int
     hi: int
     flags: np.ndarray  # flags[i] marks lo + 2*i (lo odd)
-    base_primes: np.ndarray
 
     def primes(self) -> np.ndarray:
         return self.lo + 2 * np.flatnonzero(self.flags).astype(np.int64)
@@ -67,7 +66,7 @@ def segments(x: int, segment_size: int = SEGMENT_SIZE) -> Iterator[SieveSegment]
             if start >= hi:
                 continue
             flags[(start - lo) // 2 :: p] = False
-        yield SieveSegment(lo=lo, hi=hi, flags=flags, base_primes=base)
+        yield SieveSegment(lo=lo, hi=hi, flags=flags)
         lo = hi if hi % 2 == 1 else hi + 1
 
 

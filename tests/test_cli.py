@@ -24,7 +24,7 @@ def test_equidist_report(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     jsonschema.validate(report, SCHEMA)
-    assert report["schema"] == "report-v1"
+    assert report["schema"] == "report-v2"
     assert report["results"]["pi_x"] == 9592
     assert sum(report["results"]["counts"]) == 9592
 
@@ -120,12 +120,26 @@ def test_usage_errors():
     assert cli.main(["equidist", "--q", "1", "--m", "2"]) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["typesums", "--mu", "0"],
+        ["typesums", "--nu", "-1"],
+        ["constants", "--gamma", "1/0"],
+        ["decay", "--theta", "nan"],
+        ["typesums", "--theta", "inf"],
+        ["equidist", "--x", "-5"],
+        ["equidist", "--x", "inf"],
+        ["decay", "--xs", "1,1e3,1e4"],
+    ],
+)
+def test_bad_input_is_usage_error(argv, capsys):
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_capacity_exit():
     assert cli.main(["equidist", "--x", "1e12"]) == cli.EXIT_CAPACITY
-
-
-def test_threads_validation():
-    assert cli.main(["equidist", "--x", "100", "--threads", "0"]) == cli.EXIT_USAGE
 
 
 def test_improper_gamma_verify_is_usage_error():

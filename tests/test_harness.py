@@ -8,11 +8,28 @@ import pytest
 
 from sqdigits import harness
 from sqdigits.errors import CapacityError, PreconditionError
-from sqdigits.qmult import evaluate, make_constant_one, make_digit_exponential, thue_morse
+from sqdigits.qmult import (
+    StronglyQMultiplicative,
+    evaluate,
+    make_constant_one,
+    make_digit_exponential,
+    phase_of,
+    thue_morse,
+)
 from sqdigits.sieve import chebyshev_psi, mangoldt
 
 TM = thue_morse()
 ONE = make_constant_one(2)
+
+
+def _kernel_inputs(q: int, rng: np.random.Generator, size: int = 300) -> np.ndarray:
+    """size random values plus the edges of the q**k-entry digit table and of uint64."""
+    k = 1
+    while q ** (k + 1) <= harness.DIGIT_TABLE_CAP:
+        k += 1
+    edges = [0, 1, q - 1, q, q**k - 1, q**k, q**k + 1, q ** (2 * k), 2**64 - 1]
+    edges = np.array([e for e in edges if e < 2**64], dtype=np.uint64)
+    return np.concatenate([edges, rng.integers(0, 2**63, size=size, dtype=np.uint64) * 2 + 1])
 
 
 def test_digit_sums_array_matches_scalar():
@@ -24,6 +41,17 @@ def test_digit_sums_array_matches_scalar():
         bulk = harness.digit_sums_array(v, q)
         for x, s in zip(v[:100], bulk[:100]):
             assert int(s) == digit_sum(int(x), q)
+    for q in (2, 3, 5, 10, 2**17):
+        v = _kernel_inputs(q, rng)
+        bulk = harness.digit_sums_array(v, q)
+        assert bulk.dtype == np.uint64
+        assert [int(s) for s in bulk] == [digit_sum(int(x), q) for x in v]
+        assert harness.digit_sums_array(np.array([], dtype=np.uint64), q).shape == (0,)
+    # more values than one kernel block, in a 2-d layout
+    v = rng.integers(0, 2**40, size=(3, harness.KERNEL_BLOCK)).astype(np.uint64)
+    bulk = harness.digit_sums_array(v, 3)
+    assert bulk.shape == v.shape
+    assert all(int(bulk[i, j]) == digit_sum(int(v[i, j]), 3) for i, j in ((0, 0), (1, 5), (2, -1)))
 
 
 def test_phase_array_matches_evaluate():
@@ -33,6 +61,36 @@ def test_phase_array_matches_evaluate():
     vals = harness.values_array(f, v)
     for x, z in zip(v[:100], vals[:100]):
         assert abs(z - evaluate(f, int(x))) < 1e-9
+    rational = [
+        make_digit_exponential(2, Fraction(1, 2)),
+        make_digit_exponential(3, Fraction(1, 3)),
+        make_digit_exponential(5, Fraction(2, 7)),
+        make_digit_exponential(10, Fraction(3, 11)),
+        make_digit_exponential(2**17, Fraction(1, 5)),
+    ]
+    for f in rational:
+        # phase_of costs O(q) per call, so the largest base gets the edges only
+        v = _kernel_inputs(f.q, rng, 0 if f.q > harness.DIGIT_TABLE_CAP else 300)
+        phases = harness.phase_array(f, v)
+        exact = [phase_of(f, int(x)) for x in v]
+        denom = math.lcm(*(p.denominator for p in f.phases))
+        # exact numerators, and the one rounding of num/D they end in
+        assert np.rint(phases * denom).astype(np.int64).tolist() == [int(p * denom) for p in exact]
+        assert phases.tolist() == [float(p) for p in exact]
+        assert harness.phase_array(f, np.array([], dtype=np.uint64)).shape == (0,)
+    # float phases, and a common denominator too large for int64 numerator sums:
+    # int64 sums of numerators near D would wrap, and with 2**64 mod D about
+    # 2D/3 every wrap would move the phase by about 1/3
+    big = 3 * 2**61 + 1
+    for f in (
+        make_digit_exponential(3, 0.1234567),
+        StronglyQMultiplicative(3, (Fraction(0), Fraction(big - 1, big), Fraction(big - 2, big))),
+    ):
+        v = _kernel_inputs(f.q, rng)
+        phases = harness.phase_array(f, v)
+        for x, p in zip(v, phases):
+            d = abs(p - float(phase_of(f, int(x))))
+            assert min(d, 1 - d) < 1e-12
 
 
 def test_equidist_hand_case():
