@@ -1,7 +1,7 @@
 """Digit-window Fourier analysis and equidistribution experiments for
 digital functions along squares of primes."""
 
-from .digits import DigitWindowSpec, checked_pow, digit_sum, rep_low, rep_window, to_digits
+from .digits import checked_pow, digit_sum, rep_low, rep_window, to_digits
 from .errors import CapacityError, DomainError, PreconditionError
 from .qmult import (
     StronglyQMultiplicative,
@@ -16,7 +16,6 @@ from .qmult import (
 
 __all__ = [
     "CapacityError",
-    "DigitWindowSpec",
     "DomainError",
     "PreconditionError",
     "StronglyQMultiplicative",

@@ -7,19 +7,26 @@ difference.  The counting operations below enumerate those failures
 exactly; the lemma's O(q**(nu - rho~)) ceiling becomes a fitted-constant
 scaling test because its constant is never made explicit.
 
-Phase comparisons are carried out on accumulated digit phases modulo 1
-(exact integer arithmetic for rational phases), the form in which the
-underlying additive statement lives.
+Both counts reduce to signed sums of the phases of the high parts
+``c (n+d)^2 // q**lambda``.  The high parts are formed with Python ints and
+handed to the digit kernel as one uint64 array per block of n; rational
+phases come back as exact numerators mod their common denominator D (float
+phases mod 1.0), and a count is the number of signed sums nonzero mod D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .digits import checked_pow
-from .qmult import Phase, StronglyQMultiplicative, phase_of
+from .errors import CapacityError
+from .harness import KERNEL_BLOCK, TYPE_SUM_CAP, _phase_numerators
+from .qmult import StronglyQMultiplicative
 
 _FLOAT_PHASE_TOL = 1e-9
+_UINT64_LIMIT = 1 << 64
 
 
 @dataclass(frozen=True)
@@ -52,22 +59,42 @@ class CarrySpec:
                 f"m must lie in [q**(mu-1), q**mu), got m={self.m}"
             )
         checked_pow(self.q, self.lam)
+        if self.q**self.nu > TYPE_SUM_CAP:
+            raise CapacityError(f"q**nu exceeds the enumeration cap {TYPE_SUM_CAP}")
 
     @property
     def lam(self) -> int:
         return 2 * self.mu + self.nu + self.rho + self.rho_tilde
 
 
-def _phases_differ(x: Phase, y: Phase) -> bool:
-    if isinstance(x, float) or isinstance(y, float):
-        d = (float(x) - float(y)) % 1.0
-        return min(d, 1.0 - d) > _FLOAT_PHASE_TOL
-    return x != y
-
-
-def _high_phase(f: StronglyQMultiplicative, value: int, lam_pow: int) -> Phase:
-    """Phase of the digits of value with index >= lam (= phase of value // q**lam)."""
-    return phase_of(f, value // lam_pow)
+def _count_mismatches(
+    spec: CarrySpec, f: StronglyQMultiplicative, terms: list[tuple[int, int, int]]
+) -> int:
+    """Number of n in [q**(nu-1), q**nu) at which the signed sum, over
+    (sign, c, d) in terms, of the phases of the digits of c*(n+d)**2 with
+    index >= lambda is nonzero mod 1: exactly for numerators over an int
+    modulus, beyond _FLOAT_PHASE_TOL on the circle for float phases."""
+    if f.q != spec.q:
+        raise ValueError("f and spec must share the base q")
+    lo, hi, lam_pow = spec.q ** (spec.nu - 1), spec.q**spec.nu, spec.q**spec.lam
+    # c*(n+d)**2 is convex in n, so each term's largest high part sits at an end
+    for _, c, d in terms:
+        if max(c * (lo + d) ** 2, c * (hi - 1 + d) ** 2) // lam_pow >= _UINT64_LIMIT:
+            raise CapacityError("a carry high part reaches 2**64, beyond the digit kernel")
+    count = 0
+    for start in range(lo, hi, KERNEL_BLOCK):
+        ns = range(start, min(start + KERNEL_BLOCK, hi))
+        high = np.fromiter(
+            (c * (n + d) * (n + d) // lam_pow for _, c, d in terms for n in ns),
+            dtype=np.uint64,
+            count=len(terms) * len(ns),
+        )
+        nums, modulus = _phase_numerators(f, high.reshape(len(terms), len(ns)))
+        total = sum(sign * row for (sign, _, _), row in zip(terms, nums)) % modulus
+        if isinstance(modulus, float):
+            total = np.minimum(total, 1.0 - total) > _FLOAT_PHASE_TOL
+        count += int(np.count_nonzero(total))
+    return count
 
 
 def count_mismatch(spec: CarrySpec, f: StronglyQMultiplicative) -> int:
@@ -78,19 +105,10 @@ def count_mismatch(spec: CarrySpec, f: StronglyQMultiplicative) -> int:
     carry the same phase, so the count reduces to comparing the phases of
     the high parts.
     """
-    if f.q != spec.q:
-        raise ValueError("f and spec must share the base q")
     if spec.r == 0:
         return 0
-    q, lam_pow = spec.q, spec.q**spec.lam
     m2 = spec.m * spec.m
-    count = 0
-    for n in range(q ** (spec.nu - 1), q**spec.nu):
-        low = _high_phase(f, m2 * n * n, lam_pow)
-        high = _high_phase(f, m2 * (n + spec.r) * (n + spec.r), lam_pow)
-        if _phases_differ(high, low):
-            count += 1
-    return count
+    return _count_mismatches(spec, f, [(1, m2, spec.r), (-1, m2, 0)])
 
 
 def count_second_diff_mismatch(
@@ -108,33 +126,7 @@ def count_second_diff_mismatch(
         raise ValueError(f"need 0 <= kappa <= nu - rho, got {kappa}")
     if not 1 <= s < spec.q**spec.rho:
         raise ValueError(f"need 1 <= s < q**rho, got {s}")
-    q, lam_pow = spec.q, spec.q**spec.lam
     m2 = spec.m * spec.m
-    ms = spec.m + s * q**kappa
-    ms2 = ms * ms
-    r = spec.r
-    count = 0
-    for n in range(q ** (spec.nu - 1), q**spec.nu):
-        np1 = n + r
-        full = sum_mod_one(
-            _high_phase(f, ms2 * np1 * np1, lam_pow),
-            _high_phase(f, m2 * np1 * np1, lam_pow),
-            _high_phase(f, ms2 * n * n, lam_pow),
-            _high_phase(f, m2 * n * n, lam_pow),
-        )
-        if not _is_zero_phase(full):
-            count += 1
-    return count
-
-
-def sum_mod_one(p1: Phase, p2: Phase, p3: Phase, p4: Phase) -> Phase:
-    """(p1 - p2 - p3 + p4) mod 1 with the arithmetic of the phase kind."""
-    if any(isinstance(p, float) for p in (p1, p2, p3, p4)):
-        return (float(p1) - float(p2) - float(p3) + float(p4)) % 1.0
-    return (p1 - p2 - p3 + p4) % 1
-
-
-def _is_zero_phase(p: Phase) -> bool:
-    if isinstance(p, float):
-        return min(p, 1.0 - p) <= _FLOAT_PHASE_TOL
-    return p == 0
+    ms2 = (spec.m + s * spec.q**kappa) ** 2
+    terms = [(1, ms2, spec.r), (-1, m2, spec.r), (-1, ms2, 0), (1, m2, 0)]
+    return _count_mismatches(spec, f, terms)

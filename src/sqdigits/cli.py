@@ -323,7 +323,8 @@ def _constants_results(config: RunConfig) -> dict:
     q = config.q
     f = make_digit_exponential(q, gamma)
     dist = abs(float((q - 1) * gamma - round((q - 1) * gamma)))
-    if not is_proper(f):
+    # above the grid cap compute_constants refuses q before the properness test
+    if q <= fourier.MAX_CONSTANTS_Q and not is_proper(f):
         return {
             "q": q,
             "gamma": config.gamma,

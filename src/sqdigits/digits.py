@@ -13,8 +13,6 @@ rather than drift into huge-integer territory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CapacityError
 
 WORKING_RANGE_BITS = 128
@@ -33,28 +31,6 @@ def checked_pow(q: int, kappa: int) -> int:
             f"{q}**{kappa} exceeds the {WORKING_RANGE_BITS}-bit working range"
         )
     return value
-
-
-@dataclass(frozen=True)
-class DigitWindowSpec:
-    """A digit window [kappa1, kappa2) in base q."""
-
-    q: int
-    kappa1: int
-    kappa2: int
-
-    def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ValueError(f"base must be >= 2, got {self.q}")
-        if not 0 <= self.kappa1 <= self.kappa2:
-            raise ValueError(
-                f"need 0 <= kappa1 <= kappa2, got ({self.kappa1}, {self.kappa2})"
-            )
-        checked_pow(self.q, self.kappa2)
-
-    @property
-    def width(self) -> int:
-        return self.kappa2 - self.kappa1
 
 
 def to_digits(n: int, q: int) -> list[int]:

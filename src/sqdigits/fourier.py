@@ -38,6 +38,7 @@ from .qmult import StronglyQMultiplicative, is_proper, make_digit_exponential
 
 TABLE_CAPACITY = 1 << 24
 GRID_DENSITY = 4096
+MAX_CONSTANTS_Q = TABLE_CAPACITY // GRID_DENSITY  # largest q whose constants grid fits
 REFINE_TOL = 1e-10
 
 
@@ -267,11 +268,17 @@ def compute_constants(f: StronglyQMultiplicative) -> SpectralConstants:
     """c from max |F_1(t) F_1(qt)|, eta from max Psi_q; grid + refinement.
 
     Raises DomainError for improper f (there the maximum is 1 and c would
-    degenerate to 0).
+    degenerate to 0), and CapacityError before any allocation when the
+    GRID_DENSITY*q grid exceeds TABLE_CAPACITY (q > MAX_CONSTANTS_Q).
     """
+    q = f.q
+    if q > MAX_CONSTANTS_Q:
+        raise CapacityError(
+            f"q = {q} exceeds {MAX_CONSTANTS_Q}: the {GRID_DENSITY}*q grid outgrows "
+            f"table capacity {TABLE_CAPACITY}"
+        )
     if not is_proper(f):
         raise DomainError("constants are only defined for proper functions")
-    q = f.q
     n = GRID_DENSITY * q
 
     def g_vec(ts: np.ndarray) -> np.ndarray:

@@ -30,8 +30,8 @@ import numpy as np
 
 from .digits import checked_pow
 from .errors import CapacityError, PreconditionError
-from .qmult import StronglyQMultiplicative, _cached_numerators, phase_of
-from .sieve import prime_arrays, primes_up_to
+from .qmult import StronglyQMultiplicative, _cached_numerators
+from .sieve import prime_arrays
 
 LAMBDA_SUM_CAP = 10**8
 TYPE_SUM_CAP = 1 << 26
@@ -97,16 +97,21 @@ def digit_sums_array(values: np.ndarray, q: int) -> np.ndarray:
     return _digit_additive(values, *_sum_table(q))
 
 
+def _phase_numerators(
+    f: StronglyQMultiplicative, values: np.ndarray
+) -> tuple[np.ndarray, int | float]:
+    """(numerators mod modulus, modulus) of the accumulated phases of f at a
+    uint64 array: exact int64 numerators over the common denominator D, or
+    float phases mod 1.0 where not exact."""
+    table, size, modulus = _phase_table(f)
+    return _digit_additive(values, table, size) % modulus, modulus
+
+
 def phase_array(f: StronglyQMultiplicative, values: np.ndarray) -> np.ndarray:
     """Accumulated phases (mod 1) of f at a uint64 array; rational phases stay
     exact numerators until one division, so entries equal float(phase_of(f, n))."""
-    table, size, modulus = _phase_table(f)
-    return (_digit_additive(values, table, size) % modulus) / modulus
-
-
-def values_array(f: StronglyQMultiplicative, values: np.ndarray) -> np.ndarray:
-    """f at a uint64 array as unit complex numbers."""
-    return np.exp(2j * np.pi * phase_array(f, values))
+    nums, modulus = _phase_numerators(f, values)
+    return nums / modulus
 
 
 def _twisted_square(f: StronglyQMultiplicative, n: np.ndarray, theta: float) -> np.ndarray:
@@ -157,7 +162,7 @@ def lambda_weighted_sum(x: int, f: StronglyQMultiplicative, theta: float) -> com
     """sum_{n <= x} Lambda(n) f(n^2) e(theta n).
 
     Only prime powers contribute; primes are handled in vectorized blocks of
-    KERNEL_BLOCK, the O(sqrt x) higher powers exactly one by one.
+    KERNEL_BLOCK, the higher powers p**k (p <= sqrt x) one exponent k at a time.
     """
     if x > LAMBDA_SUM_CAP:
         raise CapacityError(f"x = {x} exceeds the cap {LAMBDA_SUM_CAP}")
@@ -167,13 +172,13 @@ def lambda_weighted_sum(x: int, f: StronglyQMultiplicative, theta: float) -> com
             p = arr[start : start + KERNEL_BLOCK]
             g = _twisted_square(f, p.astype(np.uint64), theta)
             total += complex(np.sum(np.log(p.astype(np.float64)) * g))
-    for p in primes_up_to(math.isqrt(x)):
-        logp = math.log(p)
-        pk = p * p
-        while pk <= x:
-            phase = float(phase_of(f, pk * pk)) + theta * pk
-            total += logp * complex(np.exp(2j * np.pi * (phase % 1.0)))
-            pk *= p
+    for arr in prime_arrays(math.isqrt(x)):
+        p = arr.astype(np.uint64)
+        logp, pk = np.log(arr.astype(np.float64)), p * p
+        while p.size:
+            total += complex(np.sum(logp * _twisted_square(f, pk, theta)))
+            keep = pk <= x // p
+            p, logp, pk = p[keep], logp[keep], pk[keep] * p[keep]
     return total
 
 

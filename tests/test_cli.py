@@ -140,6 +140,8 @@ def test_bad_input_is_usage_error(argv, capsys):
 
 def test_capacity_exit():
     assert cli.main(["equidist", "--x", "1e12"]) == cli.EXIT_CAPACITY
+    # a GRID_DENSITY * 4097 grid exceeds TABLE_CAPACITY; refused before allocation
+    assert cli.main(["constants", "--q", "4097"]) == cli.EXIT_CAPACITY
 
 
 def test_improper_gamma_verify_is_usage_error():

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqdigits.digits import (
-    DigitWindowSpec,
     checked_pow,
     digit_sum,
     rep_low,
@@ -56,17 +55,6 @@ def test_checked_pow_overflow():
     with pytest.raises(CapacityError):
         checked_pow(2, 128)
     assert checked_pow(2, 127) == 2**127
-
-
-def test_window_spec_validation():
-    spec = DigitWindowSpec(q=2, kappa1=1, kappa2=3)
-    assert spec.width == 2
-    with pytest.raises(ValueError):
-        DigitWindowSpec(q=1, kappa1=0, kappa2=1)
-    with pytest.raises(ValueError):
-        DigitWindowSpec(q=2, kappa1=3, kappa2=1)
-    with pytest.raises(CapacityError):
-        DigitWindowSpec(q=2, kappa1=0, kappa2=200)
 
 
 def test_round_trip_bulk():

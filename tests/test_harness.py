@@ -58,7 +58,7 @@ def test_phase_array_matches_evaluate():
     f = make_digit_exponential(3, Fraction(1, 3))
     rng = np.random.default_rng(8)
     v = rng.integers(0, 2**50, size=500).astype(np.uint64)
-    vals = harness.values_array(f, v)
+    vals = np.exp(2j * np.pi * harness.phase_array(f, v))
     for x, z in zip(v[:100], vals[:100]):
         assert abs(z - evaluate(f, int(x))) < 1e-9
     rational = [
@@ -124,16 +124,15 @@ def test_lambda_sum_is_psi_for_constant_f():
 
 
 def test_lambda_sum_brute_force_x100():
-    brute = sum(mangoldt(n) * evaluate(TM, n * n) for n in range(1, 101))
-    fast = harness.lambda_weighted_sum(100, TM, 0.0)
-    assert abs(brute - fast) < 1e-9
-    theta = 0.37
-    brute = sum(
-        mangoldt(n) * evaluate(TM, n * n) * np.exp(2j * np.pi * theta * n)
-        for n in range(1, 101)
-    )
-    fast = harness.lambda_weighted_sum(100, TM, theta)
-    assert abs(brute - fast) < 1e-9
+    # q = 3 up to x = 3**6 takes prime powers to 2**9 and to x itself
+    for f, x in ((TM, 100), (make_digit_exponential(3, Fraction(1, 3)), 3**6)):
+        for theta in (0.0, 0.37):
+            brute = sum(
+                mangoldt(n) * evaluate(f, n * n) * np.exp(2j * np.pi * theta * n)
+                for n in range(1, x + 1)
+            )
+            fast = harness.lambda_weighted_sum(x, f, theta)
+            assert abs(brute - fast) < 1e-9
 
 
 def test_lambda_sum_cap():
