@@ -42,7 +42,7 @@ def main() -> None:
         print(f"  (mu,nu)=({mu},{nu}):  S_I/q^(mu+nu) = {si / 2 ** (mu + nu):.6f}")
 
     print("vaughan probe (fitted C of the combinatorial identity):")
-    for x in (10**4, 10**5, 10**6):
+    for x in (10**4, 10**5, 10**6, 10**7):
         t0 = time.time()
         vp = vaughan_probe(x, 2, f, 0.0)
         print(

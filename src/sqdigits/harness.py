@@ -9,7 +9,9 @@ The centerpiece sums are
 together with the residue counts of s_q(p^2) mod m over primes.  All big
 sweeps run on one blocked digit-additive kernel (uint64, k digits per table
 lookup, rational phases exact until the final exp) with numpy's pairwise
-reduction; identical inputs therefore give bitwise identical reports.
+reduction; identical inputs therefore give bitwise identical reports.  The
+Vaughan probe feeds it one zero-padded (m, n) row block per q-adic M, one
+kernel call per KERNEL_BLOCK pairs rather than one per row.
 
 Parameter plans reproduce the explicit recipes used to make the type II
 and type I machinery non-trivial: every derived quantity is integer
@@ -369,18 +371,23 @@ class VaughanProbe:
     fitted_C: float
 
 
-def _vaughan_rows(x: int, q: int, M: int, f: StronglyQMultiplicative, theta: float):
-    """Per-m blocks (n_start, g-array) with g(mn) = f((mn)^2) e(theta mn)
-    over M/q < m <= M, x/(qm) < n <= x/m."""
-    rows = []
-    for m in range(M // q + 1, M + 1):
-        n_lo = x // (q * m)  # n > x/(qm)
-        n_hi = x // m  # n <= x/m
-        if n_hi <= n_lo:
-            continue
-        n = np.arange(n_lo + 1, n_hi + 1, dtype=np.uint64)
-        rows.append((n_lo + 1, _twisted_square(f, np.uint64(m) * n, theta)))
-    return rows
+def _vaughan_block(x: int, q: int, M: int, f: StronglyQMultiplicative, theta: float):
+    """(dense, pair count) of g(mn) = f((mn)^2) e(theta mn), M/q < m <= M, x/(qm) < n <= x/m:
+    one row per m <= x (larger m have no n), zero-padded on the union n-grid and
+    filled in place by one kernel call per KERNEL_BLOCK pairs, across row ends."""
+    m = np.arange(M // q + 1, min(M, x) + 1, dtype=np.int64)
+    lo, size = x // (q * m) + 1, x // m - x // (q * m)  # n = lo, ..., lo + size - 1
+    ends = np.cumsum(size)
+    first, n_min = ends - size, int(lo.min())  # first: pair offset of each row
+    dense = np.zeros((m.size, int((lo + size).max()) - n_min), dtype=np.complex128)
+    for a in range(0, int(ends[-1]), KERNEL_BLOCK):
+        b = min(a + KERNEL_BLOCK, int(ends[-1]))  # pairs a .. b-1, in rows r0 .. r1-1
+        r0, r1 = np.searchsorted(ends, [a, b - 1], side="right") + [0, 1]
+        row = np.repeat(np.arange(r0, r1), np.diff(np.minimum(ends[r0:r1], b), prepend=a))
+        n = lo[row] + np.arange(a, b) - first[row]
+        g = _twisted_square(f, (m[row] * n).astype(np.uint64), theta)
+        dense.reshape(-1)[row * dense.shape[1] + n - n_min] = g
+    return dense, int(ends[-1])
 
 
 def vaughan_probe(
@@ -388,42 +395,41 @@ def vaughan_probe(
 ) -> VaughanProbe:
     """Evaluate the two sum families feeding the combinatorial identity.
 
-    * type I (M <= x**beta1, q-adic M): per m the maximum over all suffix
-      intervals (t, x/m] is scanned exactly via cumulative sums.
+    Each q-adic M is one zero-padded row block (_vaughan_block), m in (M/q, M].
+
+    * type I (M <= x**beta1): per m the maximum over all suffix intervals
+      (t, x/m] is scanned exactly via cumulative sums along the padded row.
     * type II (x**beta1 <= M <= x**(1-beta1)): the supremum over unimodular
       coefficients is lower-bounded by alternating phase alignment, two
       rounds of (align a_m, align b_n) from the deterministic start a = 1.
       The attained value never decreases along the alignment history.
     * fitted_C = |Lambda sum| / (U log^2 x) with U the larger of the two
-      maxima; the Lambda sum runs over x/q < n <= x.
+      maxima; the Lambda sum runs over x/q < n <= x.  x above LAMBDA_SUM_CAP
+      is refused before any row is built.
     """
     if x < q * q:
         raise PreconditionError(f"need x >= q^2, got x={x}")
     if not 0.0 < beta1 < 1.0 / 3.0:
         raise PreconditionError(f"need 0 < beta1 < 1/3, got {beta1}")
+    if x > LAMBDA_SUM_CAP:
+        raise CapacityError(f"x = {x} exceeds the cap {LAMBDA_SUM_CAP}")
 
-    type1_max, type1_arg = 0.0, 0
-    M = q
-    while M <= x**beta1:
-        value = 0.0
-        for _, row in _vaughan_rows(x, q, M, f, theta):
-            suffix = np.cumsum(row[::-1])
-            value += float(np.max(np.abs(suffix)))
-        if value > type1_max:
-            type1_max, type1_arg = value, M
-        M *= q
-
-    type2_max, type2_arg = 0.0, 0
+    type1_max = type2_max = 0.0
+    type1_arg = type2_arg = pair_count = 0
     history: tuple[float, ...] = ()
-    pair_count = 0
     M = q
-    while M <= x ** (1.0 - beta1):
+    while M <= x ** (1.0 - beta1):  # covers every type I block, as beta1 < 1/3
+        dense, pairs = _vaughan_block(x, q, M, f, theta)
+        if M <= x**beta1:
+            suffix_max = np.max(np.abs(np.cumsum(dense[:, ::-1], axis=1)), axis=1)
+            value = float(np.cumsum(suffix_max)[-1])  # a running sum, in row order
+            if value > type1_max:
+                type1_max, type1_arg = value, M
         if M >= x**beta1:
-            rows = _vaughan_rows(x, q, M, f, theta)
-            if rows:
-                value, hist, pairs = _align_bilinear(rows)
-                if value > type2_max:
-                    type2_max, type2_arg, history, pair_count = value, M, hist, pairs
+            value, hist = _align_bilinear(dense)
+            if value > type2_max:
+                type2_max, type2_arg, history, pair_count = value, M, hist, pairs
+        del dense  # before the next block is built
         M *= q
 
     lam_sum = lambda_weighted_sum(x, f, theta) - lambda_weighted_sum(x // q, f, theta)
@@ -444,19 +450,13 @@ def vaughan_probe(
     )
 
 
-def _align_bilinear(rows: list[tuple[int, np.ndarray]]) -> tuple[float, tuple[float, ...], int]:
+def _align_bilinear(dense: np.ndarray) -> tuple[float, tuple[float, ...]]:
     """Two rounds of alternating phase alignment from a = 1.
 
-    rows hold (n_start, g-values); b_n is shared across rows, so the blocks
-    are laid out on the union n-grid before the column alignment.
-    Returns (final value, value history, total pair count).
+    dense is a row block of _vaughan_block, one row per m on the n-grid that
+    b_n shares; the zero padding adds nothing to either matvec.
+    Returns (final value, value history).
     """
-    n_min = min(start for start, _ in rows)
-    n_max = max(start + len(g) for start, g in rows)
-    dense = np.zeros((len(rows), n_max - n_min), dtype=np.complex128)
-    for i, (start, g) in enumerate(rows):
-        dense[i, start - n_min : start - n_min + len(g)] = g
-    pair_count = int(sum(len(g) for _, g in rows))
     b = np.ones(dense.shape[1], dtype=np.complex128)
     history = []
     for _ in range(2):
@@ -466,7 +466,7 @@ def _align_bilinear(rows: list[tuple[int, np.ndarray]]) -> tuple[float, tuple[fl
         col = dense.T @ a  # inner m-sums given a
         b = np.conj(_unit_phases(col))
         history.append(float(abs(np.sum(b * col))))
-    return history[-1], tuple(history), pair_count
+    return history[-1], tuple(history)
 
 
 def _unit_phases(z: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .digits import rep_window
 
@@ -52,10 +52,19 @@ class StronglyQMultiplicative:
             if not 0 <= p < 1:
                 raise ValueError(f"phases must lie in [0, 1), got {p}")
 
-    @property
+    # exact and the hash scan all q phases, so each is computed once per
+    # instance; phase_of and the cached digit tables read them on every call
+    @cached_property
     def exact(self) -> bool:
         """True when every phase is stored as an exact rational."""
         return all(isinstance(p, Fraction) for p in self.phases)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.q, self.phases))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def digit_values(self) -> tuple[complex, ...]:

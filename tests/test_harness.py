@@ -289,10 +289,67 @@ def test_vaughan_probe_type1_brute_force():
         total += best
     vp = harness.vaughan_probe(x, q, TM, 0.0)
     assert vp.type1_argmax_M >= q
-    probe_at_q = 0.0
-    for start, row in harness._vaughan_rows(x, q, q, TM, 0.0):
-        probe_at_q += float(np.max(np.abs(np.cumsum(row[::-1]))))
+    dense, _ = harness._vaughan_block(x, q, q, TM, 0.0)
+    probe_at_q = float(np.sum(np.max(np.abs(np.cumsum(dense[:, ::-1], axis=1)), axis=1)))
     assert abs(probe_at_q - total) < 1e-9
+
+
+def _vaughan_block_per_row(x, q, M, f, theta):
+    """The probe's row block built one m at a time: one kernel call per row."""
+    rows = []
+    for m in range(M // q + 1, M + 1):
+        n_lo, n_hi = x // (q * m), x // m  # x/(qm) < n <= x/m
+        if n_hi > n_lo:
+            n = np.arange(n_lo + 1, n_hi + 1, dtype=np.uint64)
+            rows.append((n_lo + 1, harness._twisted_square(f, np.uint64(m) * n, theta)))
+    n_min = min(start for start, _ in rows)
+    n_max = max(start + len(g) for start, g in rows)
+    dense = np.zeros((len(rows), n_max - n_min), dtype=np.complex128)
+    for i, (start, g) in enumerate(rows):
+        dense[i, start - n_min : start - n_min + len(g)] = g
+    return dense, sum(len(g) for _, g in rows)
+
+
+def test_vaughan_block_matches_per_row_reference(monkeypatch):
+    cases = [
+        (200, 2, TM, 0.0),
+        (200, 2, make_digit_exponential(2, Fraction(1, 3)), 0.37),
+        (50, 3, make_digit_exponential(3, Fraction(1, 3)), 0.1),
+        (90, 3, make_digit_exponential(3, 0.3721), 0.25),  # float phases
+    ]
+    for x, q, f, theta in cases:
+        # q-adic M up to q*x: the last blocks hold rows m > x with no n
+        blocks = [q**k for k in range(1, 99) if q ** (k - 1) <= x]
+        reference = [_vaughan_block_per_row(x, q, M, f, theta) for M in blocks]
+        assert any(dense.shape[0] < M - M // q for M, (dense, _) in zip(blocks, reference))
+        calls = []
+        twisted_square = harness._twisted_square
+
+        def counting(f, n, theta):
+            calls.append(len(n))
+            return twisted_square(f, n, theta)
+
+        # 7-pair chunks split the long rows (M = q) and span several short
+        # ones (the largest M), and the kernel walks them in 7-value blocks
+        monkeypatch.setattr(harness, "KERNEL_BLOCK", 7)
+        monkeypatch.setattr(harness, "_twisted_square", counting)
+        for M, (ref_dense, ref_pairs) in zip(blocks, reference):
+            calls.clear()
+            dense, pairs = harness._vaughan_block(x, q, M, f, theta)
+            assert pairs == ref_pairs
+            assert calls == [min(7, pairs - start) for start in range(0, pairs, 7)]
+            assert dense.shape == ref_dense.shape and dense.dtype == ref_dense.dtype
+            assert dense.tobytes() == ref_dense.tobytes()
+        monkeypatch.undo()
+
+
+def test_vaughan_probe_checks_cap_before_rows(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a row was built before the cap check")
+
+    monkeypatch.setattr(harness, "_twisted_square", no_rows)
+    with pytest.raises(CapacityError):
+        harness.vaughan_probe(harness.LAMBDA_SUM_CAP + 1, 2, TM, 0.0)
 
 
 def test_vaughan_probe_validation():

@@ -134,3 +134,35 @@ def test_unit_modulus_after_long_chains():
     f = StronglyQMultiplicative(3, (0.0, 0.237194, 0.914233))
     value = evaluate(f, 3**40 - 1)
     assert abs(abs(value) - 1.0) <= 1e-12
+
+
+def test_exactness_and_hash_are_computed_once(monkeypatch):
+    from sqdigits.harness import phase_array
+
+    # at q = 2**17 one scan of the phases costs about 0.5 s, so repeated calls
+    # must not hash the q Fractions again (phase_of and the kernel's table
+    # lookups hash f on every call)
+    f = make_digit_exponential(2**17, Fraction(1, 5))
+    values = np.array([0, 1, 2**17 + 3, 2**40 + 12345], dtype=np.uint64)
+    phases = [phase_of(f, int(v)) for v in values]
+    array = phase_array(f, values)
+    hashes = []
+    fraction_hash = Fraction.__hash__
+
+    def counting_hash(self):
+        hashes.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    for _ in range(3):
+        assert f.exact
+        assert [phase_of(f, int(v)) for v in values] == phases
+        assert phase_array(f, values).tolist() == array.tolist()
+    assert hashes == []
+    monkeypatch.undo()
+    # equality and hashing still follow the fields
+    same = make_digit_exponential(2**17, Fraction(1, 5))
+    assert same == f and same is not f and hash(same) == hash(f)
+    assert make_digit_exponential(2**17, Fraction(2, 5)) != f
+    assert hash(thue_morse()) == hash((2, thue_morse().phases))
+    assert not make_digit_exponential(3, 0.25).exact
