@@ -25,6 +25,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import asdict, dataclass, field
@@ -443,16 +444,15 @@ def _expsum_rows(config: RunConfig) -> list[dict]:
 
 
 def _typesums_results(config: RunConfig) -> dict:
+    q, mu, nu = config.q, config.mu, config.nu
+    rows, cols = harness.rectangle_shape(q, mu, nu)  # the cap, before any draw
     rng = np.random.default_rng(config.seed)
     f = _f_of(config)
-    q, mu, nu = config.q, config.mu, config.nu
     sc = fourier.compute_constants(f)
     plan = harness.type2_plan(mu, nu, sc.c, sc.eta)
-    a = np.exp(2j * np.pi * rng.random(q**mu - q ** (mu - 1)))
-    b = np.exp(2j * np.pi * rng.random(q**nu - q ** (nu - 1)))
-    s20 = harness.type2_S20(mu, nu, q, f, config.theta, a, b)
-    si = harness.type1_SI(mu, nu, q, f, config.theta)
-    si_max = harness.type1_SI(mu, nu, q, f, config.theta, maximize=True)
+    a = np.exp(2j * np.pi * rng.random(rows))
+    b = np.exp(2j * np.pi * rng.random(cols))
+    s20, si, si_max = harness.type_sums(mu, nu, q, f, config.theta, a, b)
     return {
         "q": q,
         "mu": mu,
@@ -471,6 +471,10 @@ def _typesums_results(config: RunConfig) -> dict:
 
 def run(config: RunConfig) -> int:
     """Execute one command and write its report; returns the exit code."""
+    if config.output_path != "-":  # a missing directory fails before the work, not after
+        out_dir = os.path.dirname(os.path.abspath(config.output_path))
+        if not os.path.isdir(out_dir):
+            raise PreconditionError(f"cannot write {config.output_path!r}: no directory {out_dir!r}")
     violation = False
     if config.command == "verify":
         rows = _verify_rows(config)
@@ -521,8 +525,11 @@ def _write_report(report: dict, config: RunConfig) -> None:
     if config.output_path == "-":
         sys.stdout.write(text)
     else:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.output_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise PreconditionError(f"cannot write {config.output_path!r}: {exc.strerror}") from exc
 
 
 def _json_default(obj):

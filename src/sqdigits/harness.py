@@ -9,9 +9,12 @@ The centerpiece sums are
 together with the residue counts of s_q(p^2) mod m over primes.  All big
 sweeps run on one blocked digit-additive kernel (uint64, k digits per table
 lookup, rational phases exact until the final exp) with numpy's pairwise
-reduction; identical inputs therefore give bitwise identical reports.  The
-Vaughan probe feeds it one zero-padded (m, n) row block per q-adic M, one
-kernel call per KERNEL_BLOCK pairs rather than one per row.
+reduction; identical inputs therefore give bitwise identical reports.  Every
+bilinear sum reads one primitive, _row_block: a zero-padded (m, n) block of
+g(mn) = f((mn)^2) e(theta mn), built with one kernel call per KERNEL_BLOCK
+pairs rather than one per row.  The q-adic rectangle of type_sums is one such
+block, reduced three ways (S_20, S_I and its suffix maximum); the Vaughan
+probe builds one per q-adic M.
 
 Parameter plans reproduce the explicit recipes used to make the type II
 and type I machinery non-trivial: every derived quantity is integer
@@ -117,7 +120,9 @@ def phase_array(f: StronglyQMultiplicative, values: np.ndarray) -> np.ndarray:
 
 
 def _twisted_square(f: StronglyQMultiplicative, n: np.ndarray, theta: float) -> np.ndarray:
-    """f(n^2) e(theta n) at a uint64 array n."""
+    """f(n^2) e(theta n) at a uint64 array n; theta is reduced mod 1 first
+    (exactly), so that theta * n keeps the digits of the phase."""
+    theta = math.fmod(theta, 1.0)
     phases = phase_array(f, n * n)
     if theta != 0.0:
         phases += np.mod(theta * n.astype(np.float64), 1.0)
@@ -204,15 +209,44 @@ def decay_fit(xs: list[int], f: StronglyQMultiplicative, theta: float) -> DecayF
     return DecayFit(xs=tuple(xs), values=tuple(values), fitted_exponent=slope)
 
 
-def _rectangle(q: int, mu: int, nu: int) -> tuple[np.ndarray, np.ndarray]:
+def _row_block(
+    m: np.ndarray, lo: np.ndarray, size: np.ndarray, f: StronglyQMultiplicative, theta: float
+) -> np.ndarray:
+    """Dense g(mn) = f((mn)^2) e(theta mn) for int64 rows m: row i holds
+    n = lo[i], ..., lo[i] + size[i] - 1, zero-padded on the n-grid the rows
+    share, and the block is filled in place by one kernel call per
+    KERNEL_BLOCK pairs, across row ends."""
+    ends = np.cumsum(size)
+    first, n_min = ends - size, int(lo.min())  # first: pair offset of each row
+    dense = np.zeros((m.size, int((lo + size).max()) - n_min), dtype=np.complex128)
+    for a in range(0, int(ends[-1]), KERNEL_BLOCK):
+        b = min(a + KERNEL_BLOCK, int(ends[-1]))  # pairs a .. b-1, in rows r0 .. r1-1
+        r0, r1 = np.searchsorted(ends, [a, b - 1], side="right") + [0, 1]
+        row = np.repeat(np.arange(r0, r1), np.diff(np.minimum(ends[r0:r1], b), prepend=a))
+        n = lo[row] + np.arange(a, b) - first[row]
+        g = _twisted_square(f, (m[row] * n).astype(np.uint64), theta)
+        dense.reshape(-1)[row * dense.shape[1] + n - n_min] = g
+    return dense
+
+
+def _suffix_max_sum(dense: np.ndarray) -> float:
+    """sum over rows of max_t |row[t] + ... + row[-1]|, added in row order.
+    One row at a time, so the cumulative copy is one row long, not a block."""
+    total = 0.0
+    for row in dense:
+        total += float(np.max(np.abs(np.cumsum(row[::-1]))))
+    return total
+
+
+def rectangle_shape(q: int, mu: int, nu: int) -> tuple[int, int]:
+    """(rows, cols) of the q-adic rectangle [q**(mu-1), q**mu) x [q**(nu-1), q**nu),
+    refused above TYPE_SUM_CAP before any coefficient or row is drawn."""
     if checked_pow(q, mu + nu) > TYPE_SUM_CAP:
         raise CapacityError(f"q**(mu+nu) exceeds the exact-evaluation cap {TYPE_SUM_CAP}")
-    m = np.arange(q ** (mu - 1), q**mu, dtype=np.uint64)
-    n = np.arange(q ** (nu - 1), q**nu, dtype=np.uint64)
-    return m, n
+    return q**mu - q ** (mu - 1), q**nu - q ** (nu - 1)
 
 
-def type2_S20(
+def type_sums(
     mu: int,
     nu: int,
     q: int,
@@ -220,58 +254,30 @@ def type2_S20(
     theta: float,
     a: np.ndarray,
     b: np.ndarray,
-) -> complex:
-    """Exact bilinear sum sum_m sum_n a_m b_n f(m^2 n^2) e(theta m n)
-    over the q-adic rectangle [q**(mu-1), q**mu) x [q**(nu-1), q**nu)."""
-    m, n = _rectangle(q, mu, nu)
+) -> tuple[complex, float, float]:
+    """(S20, SI, SI_max) over the q-adic rectangle of rectangle_shape, with
+    g(mn) = f(m^2 n^2) e(theta m n) built once as one row block:
+
+    * S20    = sum_m sum_n a_m b_n g(mn), the exact bilinear (type II) sum;
+    * SI     = sum_m |sum_n g(mn)|, the type I sum over full inner intervals;
+    * SI_max = sum_m max_t |sum_{t < n < q**nu} g(mn)|, the inner sum replaced
+      by its maximum over all suffix intervals: it only changes at integer
+      endpoints, so scanning every cumulative suffix sum is exact.
+    """
+    rows, cols = rectangle_shape(q, mu, nu)
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    if len(a) != len(m) or len(b) != len(n):
-        raise ValueError(
-            f"coefficient lengths must match the rectangle: need ({len(m)}, {len(n)})"
-        )
+    if len(a) != rows or len(b) != cols:
+        raise ValueError(f"coefficient lengths must match the rectangle: need ({rows}, {cols})")
     if np.max(np.abs(a)) > 1 + 1e-12 or np.max(np.abs(b)) > 1 + 1e-12:
         raise ValueError("coefficients must have modulus at most 1")
-    g = _twisted_square(f, np.outer(m, n), theta)
-    return complex(np.sum(a[:, None] * b[None, :] * g))
-
-
-def type1_SI(
-    mu: int,
-    nu: int,
-    q: int,
-    f: StronglyQMultiplicative,
-    theta: float,
-    intervals: dict[int, tuple[int, int]] | None = None,
-    maximize: bool = False,
-) -> float:
-    """sum_m |sum_{n in I(m)} f(m^2 n^2) e(theta m n)|.
-
-    intervals maps m to a half-open [n_lo, n_hi) inside the full q-adic
-    range; omitted entries (or intervals=None) use the full range.  With
-    maximize=True the inner sum is replaced by its maximum over all suffix
-    intervals (t, q**nu): the inner sum only changes at integer endpoints,
-    so scanning every cumulative suffix sum is exact and O(N) per m.
-    """
-    m_arr, n_full = _rectangle(q, mu, nu)
-    total = 0.0
-    for m in m_arr:
-        if intervals is not None and int(m) in intervals:
-            lo, hi = intervals[int(m)]
-            if not q ** (nu - 1) <= lo <= hi <= q**nu:
-                raise PreconditionError(f"interval {lo, hi} outside the n-range")
-            n = np.arange(lo, hi, dtype=np.uint64)
-        else:
-            n = n_full
-        if len(n) == 0:
-            continue
-        g = _twisted_square(f, m * n, theta)
-        if maximize:
-            suffix = np.cumsum(g[::-1])
-            total += float(np.max(np.abs(suffix)))
-        else:
-            total += abs(complex(np.sum(g)))
-    return total
+    m = np.arange(q ** (mu - 1), q**mu, dtype=np.int64)
+    g = _row_block(m, np.full(rows, q ** (nu - 1)), np.full(rows, cols), f, theta)
+    s20 = complex(np.sum(a[:, None] * b[None, :] * g))
+    si = 0.0
+    for row in g:  # not g.sum(axis=1), whose reduction order differs from a row's
+        si += abs(complex(np.sum(row)))
+    return s20, si, _suffix_max_sum(g)
 
 
 @dataclass(frozen=True)
@@ -371,31 +377,13 @@ class VaughanProbe:
     fitted_C: float
 
 
-def _vaughan_block(x: int, q: int, M: int, f: StronglyQMultiplicative, theta: float):
-    """(dense, pair count) of g(mn) = f((mn)^2) e(theta mn), M/q < m <= M, x/(qm) < n <= x/m:
-    one row per m <= x (larger m have no n), zero-padded on the union n-grid and
-    filled in place by one kernel call per KERNEL_BLOCK pairs, across row ends."""
-    m = np.arange(M // q + 1, min(M, x) + 1, dtype=np.int64)
-    lo, size = x // (q * m) + 1, x // m - x // (q * m)  # n = lo, ..., lo + size - 1
-    ends = np.cumsum(size)
-    first, n_min = ends - size, int(lo.min())  # first: pair offset of each row
-    dense = np.zeros((m.size, int((lo + size).max()) - n_min), dtype=np.complex128)
-    for a in range(0, int(ends[-1]), KERNEL_BLOCK):
-        b = min(a + KERNEL_BLOCK, int(ends[-1]))  # pairs a .. b-1, in rows r0 .. r1-1
-        r0, r1 = np.searchsorted(ends, [a, b - 1], side="right") + [0, 1]
-        row = np.repeat(np.arange(r0, r1), np.diff(np.minimum(ends[r0:r1], b), prepend=a))
-        n = lo[row] + np.arange(a, b) - first[row]
-        g = _twisted_square(f, (m[row] * n).astype(np.uint64), theta)
-        dense.reshape(-1)[row * dense.shape[1] + n - n_min] = g
-    return dense, int(ends[-1])
-
-
 def vaughan_probe(
     x: int, q: int, f: StronglyQMultiplicative, theta: float, beta1: float = 0.2
 ) -> VaughanProbe:
     """Evaluate the two sum families feeding the combinatorial identity.
 
-    Each q-adic M is one zero-padded row block (_vaughan_block), m in (M/q, M].
+    Each q-adic M is one zero-padded row block (_row_block): row m in
+    (M/q, M] holds x/(qm) < n <= x/m.
 
     * type I (M <= x**beta1): per m the maximum over all suffix intervals
       (t, x/m] is scanned exactly via cumulative sums along the padded row.
@@ -419,16 +407,17 @@ def vaughan_probe(
     history: tuple[float, ...] = ()
     M = q
     while M <= x ** (1.0 - beta1):  # covers every type I block, as beta1 < 1/3
-        dense, pairs = _vaughan_block(x, q, M, f, theta)
+        m = np.arange(M // q + 1, min(M, x) + 1, dtype=np.int64)  # larger m have no n
+        lo, size = x // (q * m) + 1, x // m - x // (q * m)  # x/(qm) < n <= x/m
+        dense = _row_block(m, lo, size, f, theta)
         if M <= x**beta1:
-            suffix_max = np.max(np.abs(np.cumsum(dense[:, ::-1], axis=1)), axis=1)
-            value = float(np.cumsum(suffix_max)[-1])  # a running sum, in row order
+            value = _suffix_max_sum(dense)
             if value > type1_max:
                 type1_max, type1_arg = value, M
         if M >= x**beta1:
             value, hist = _align_bilinear(dense)
             if value > type2_max:
-                type2_max, type2_arg, history, pair_count = value, M, hist, pairs
+                type2_max, type2_arg, history, pair_count = value, M, hist, int(size.sum())
         del dense  # before the next block is built
         M *= q
 
@@ -453,7 +442,7 @@ def vaughan_probe(
 def _align_bilinear(dense: np.ndarray) -> tuple[float, tuple[float, ...]]:
     """Two rounds of alternating phase alignment from a = 1.
 
-    dense is a row block of _vaughan_block, one row per m on the n-grid that
+    dense is a row block of _row_block, one row per m on the n-grid that
     b_n shares; the zero padding adds nothing to either matvec.
     Returns (final value, value history).
     """

@@ -4,9 +4,10 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from sqdigits import cli
+from sqdigits import cli, harness
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src" / "sqdigits" / "report_schema.json").read_text()
@@ -142,6 +143,49 @@ def test_capacity_exit():
     assert cli.main(["equidist", "--x", "1e12"]) == cli.EXIT_CAPACITY
     # a GRID_DENSITY * 4097 grid exceeds TABLE_CAPACITY; refused before allocation
     assert cli.main(["constants", "--q", "4097"]) == cli.EXIT_CAPACITY
+
+
+def test_typesums_cap_before_coefficient_draws(monkeypatch, capsys):
+    # 2**29 coefficient draws (4 GiB) would run before the cap check
+    def no_draws(*args):
+        raise AssertionError("coefficients were drawn before the cap check")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    argv = ["typesums", "--q", "2", "--gamma", "1/2", "--mu", "30", "--nu", "2"]
+    assert cli.main(argv) == cli.EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert "cap" in err and "Traceback" not in err
+
+
+def test_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys):
+    def no_work(config):
+        raise AssertionError("the work ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "_typesums_results", no_work)
+    missing = tmp_path / "missing" / "x.json"
+    assert cli.main(["typesums", "--output", str(missing)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(missing) in err and "Traceback" not in err
+    # a directory in place of a file only fails when the report is written
+    assert cli.main(["constants", "--q", "2", "--output", str(tmp_path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(tmp_path) in err and "Traceback" not in err
+
+
+def test_typesums_builds_its_rectangle_once(tmp_path, monkeypatch):
+    calls = []
+    twisted_square = harness._twisted_square
+
+    def counting(f, n, theta):
+        calls.append(len(n))
+        return twisted_square(f, n, theta)
+
+    monkeypatch.setattr(harness, "_twisted_square", counting)
+    argv = ["typesums", "--q", "2", "--gamma", "1/2", "--mu", "8", "--nu", "14"]
+    assert run_cli(argv, tmp_path)[0] == cli.EXIT_OK
+    rectangle = (2**8 - 2**7) * (2**14 - 2**13)
+    assert sum(calls) == rectangle
+    assert len(calls) == -(-rectangle // harness.KERNEL_BLOCK) == 16
 
 
 def test_improper_gamma_verify_is_usage_error():

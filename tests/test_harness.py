@@ -135,6 +135,13 @@ def test_lambda_sum_brute_force_x100():
             assert abs(brute - fast) < 1e-9
 
 
+def test_lambda_sum_reduces_theta_mod_1():
+    # theta * n at theta = 2**40 + 3/8 would keep none of the digits of the phase
+    at_3_8 = harness.lambda_weighted_sum(10**5, TM, 0.375)
+    assert harness.lambda_weighted_sum(10**5, TM, 2**40 + 0.375) == at_3_8
+    assert harness.lambda_weighted_sum(10**5, TM, -(2**40) - 0.625) == at_3_8
+
+
 def test_lambda_sum_cap():
     with pytest.raises(CapacityError):
         harness.lambda_weighted_sum(10**9, TM, 0.0)
@@ -160,7 +167,7 @@ def test_decay_fit():
 def test_type2_S20_rectangle_count():
     a = np.ones(4, dtype=complex)
     b = np.ones(2**9, dtype=complex)
-    s = harness.type2_S20(3, 10, 2, ONE, 0.0, a, b)
+    s, _, _ = harness.type_sums(3, 10, 2, ONE, 0.0, a, b)
     assert abs(s - 4 * 2**9) < 1e-9
 
 
@@ -168,11 +175,11 @@ def test_type2_S20_validation():
     a = np.ones(4, dtype=complex)
     b = np.ones(2**9, dtype=complex)
     with pytest.raises(ValueError):
-        harness.type2_S20(3, 10, 2, ONE, 0.0, 2 * a, b)
+        harness.type_sums(3, 10, 2, ONE, 0.0, 2 * a, b)
     with pytest.raises(ValueError):
-        harness.type2_S20(3, 10, 2, ONE, 0.0, a[:-1], b)
+        harness.type_sums(3, 10, 2, ONE, 0.0, a[:-1], b)
     with pytest.raises(CapacityError):
-        harness.type2_S20(14, 14, 2, ONE, 0.0, a, b)
+        harness.type_sums(14, 14, 2, ONE, 0.0, a, b)
 
 
 def test_type2_S20_matches_direct_loop():
@@ -180,7 +187,7 @@ def test_type2_S20_matches_direct_loop():
     a = np.exp(2j * np.pi * rng.random(2))
     b = np.exp(2j * np.pi * rng.random(4))
     theta = 0.21
-    s = harness.type2_S20(2, 3, 2, TM, theta, a, b)
+    s, _, _ = harness.type_sums(2, 3, 2, TM, theta, a, b)
     direct = 0.0 + 0.0j
     for i, m in enumerate(range(2, 4)):
         for j, n in enumerate(range(4, 8)):
@@ -193,17 +200,16 @@ def test_type2_S20_matches_direct_loop():
     assert abs(s - direct) < 1e-9
 
 
+def _unit_coefficients(q, mu, nu):
+    rows, cols = harness.rectangle_shape(q, mu, nu)
+    return np.ones(rows), np.ones(cols)
+
+
 def test_type1_SI():
-    si = harness.type1_SI(3, 6, 2, ONE, 0.0)
+    _, si, _ = harness.type_sums(3, 6, 2, ONE, 0.0, *_unit_coefficients(2, 3, 6))
     assert abs(si - 4 * 32) < 1e-9
-    # per-m sub-intervals
-    si = harness.type1_SI(3, 6, 2, ONE, 0.0, intervals={4: (40, 50), 5: (32, 32)})
-    assert abs(si - (10 + 0 + 32 + 32)) < 1e-9
-    with pytest.raises(PreconditionError):
-        harness.type1_SI(3, 6, 2, ONE, 0.0, intervals={4: (10, 20)})
-    # maximize over suffix intervals dominates the full-interval value per m
-    plain = harness.type1_SI(3, 8, 2, TM, 0.3)
-    maxed = harness.type1_SI(3, 8, 2, TM, 0.3, maximize=True)
+    # the maximum over suffix intervals dominates the full-interval value per m
+    _, plain, maxed = harness.type_sums(3, 8, 2, TM, 0.3, *_unit_coefficients(2, 3, 8))
     assert maxed >= plain - 1e-12
 
 
@@ -220,7 +226,8 @@ def test_type1_SI_maximize_brute_force():
             )
             best = max(best, abs(s))
         total += best
-    assert abs(harness.type1_SI(mu, nu, q, TM, theta, maximize=True) - total) < 1e-9
+    _, _, si_max = harness.type_sums(mu, nu, q, TM, theta, *_unit_coefficients(q, mu, nu))
+    assert abs(si_max - total) < 1e-9
 
 
 def test_type2_plan_synthetic():
@@ -289,9 +296,14 @@ def test_vaughan_probe_type1_brute_force():
         total += best
     vp = harness.vaughan_probe(x, q, TM, 0.0)
     assert vp.type1_argmax_M >= q
-    dense, _ = harness._vaughan_block(x, q, q, TM, 0.0)
-    probe_at_q = float(np.sum(np.max(np.abs(np.cumsum(dense[:, ::-1], axis=1)), axis=1)))
+    probe_at_q = harness._suffix_max_sum(harness._row_block(*_vaughan_rows(x, q, q), TM, 0.0))
     assert abs(probe_at_q - total) < 1e-9
+
+
+def _vaughan_rows(x, q, M):
+    """The probe's (m, lo, size) at one q-adic M: x/(qm) < n <= x/m for M/q < m <= min(M, x)."""
+    m = np.arange(M // q + 1, min(M, x) + 1, dtype=np.int64)
+    return m, x // (q * m) + 1, x // m - x // (q * m)
 
 
 def _vaughan_block_per_row(x, q, M, f, theta):
@@ -310,6 +322,22 @@ def _vaughan_block_per_row(x, q, M, f, theta):
     return dense, sum(len(g) for _, g in rows)
 
 
+def _row_block_in_7_pair_calls(monkeypatch, rows, f, theta):
+    """_row_block(*rows, f, theta) with KERNEL_BLOCK patched to 7, and the
+    length of each _twisted_square call it made."""
+    calls = []
+    twisted_square = harness._twisted_square
+
+    def counting(f, n, theta):
+        calls.append(len(n))
+        return twisted_square(f, n, theta)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "KERNEL_BLOCK", 7)
+        patch.setattr(harness, "_twisted_square", counting)
+        return harness._row_block(*rows, f, theta), calls
+
+
 def test_vaughan_block_matches_per_row_reference(monkeypatch):
     cases = [
         (200, 2, TM, 0.0),
@@ -322,25 +350,42 @@ def test_vaughan_block_matches_per_row_reference(monkeypatch):
         blocks = [q**k for k in range(1, 99) if q ** (k - 1) <= x]
         reference = [_vaughan_block_per_row(x, q, M, f, theta) for M in blocks]
         assert any(dense.shape[0] < M - M // q for M, (dense, _) in zip(blocks, reference))
-        calls = []
-        twisted_square = harness._twisted_square
-
-        def counting(f, n, theta):
-            calls.append(len(n))
-            return twisted_square(f, n, theta)
-
         # 7-pair chunks split the long rows (M = q) and span several short
         # ones (the largest M), and the kernel walks them in 7-value blocks
-        monkeypatch.setattr(harness, "KERNEL_BLOCK", 7)
-        monkeypatch.setattr(harness, "_twisted_square", counting)
         for M, (ref_dense, ref_pairs) in zip(blocks, reference):
-            calls.clear()
-            dense, pairs = harness._vaughan_block(x, q, M, f, theta)
-            assert pairs == ref_pairs
-            assert calls == [min(7, pairs - start) for start in range(0, pairs, 7)]
+            m, lo, size = _vaughan_rows(x, q, M)
+            dense, calls = _row_block_in_7_pair_calls(monkeypatch, (m, lo, size), f, theta)
+            assert int(size.sum()) == ref_pairs
+            assert calls == [min(7, ref_pairs - start) for start in range(0, ref_pairs, 7)]
             assert dense.shape == ref_dense.shape and dense.dtype == ref_dense.dtype
             assert dense.tobytes() == ref_dense.tobytes()
-        monkeypatch.undo()
+
+
+def test_rectangle_matches_per_row_reference(monkeypatch):
+    # the q-adic rectangle as one row block, and type_sums' three reductions,
+    # against one kernel call per m and the per-row sums
+    cases = [
+        (2, 3, 4, TM, 0.0),
+        (3, 2, 3, make_digit_exponential(3, Fraction(1, 3)), 0.37),
+        (5, 1, 2, make_digit_exponential(5, 0.3721), -0.25),  # float phases, mu = 1
+    ]
+    rng = np.random.default_rng(3)
+    for q, mu, nu, f, theta in cases:
+        m = np.arange(q ** (mu - 1), q**mu, dtype=np.uint64)
+        n = np.arange(q ** (nu - 1), q**nu, dtype=np.uint64)
+        reference = np.array([harness._twisted_square(f, row_m * n, theta) for row_m in m])
+        rows = (m.astype(np.int64), np.full(m.size, q ** (nu - 1)), np.full(m.size, n.size))
+        dense, calls = _row_block_in_7_pair_calls(monkeypatch, rows, f, theta)
+        assert calls == [min(7, reference.size - start) for start in range(0, reference.size, 7)]
+        assert dense.shape == reference.shape and dense.tobytes() == reference.tobytes()
+        a = np.exp(2j * np.pi * rng.random(m.size))
+        b = np.exp(2j * np.pi * rng.random(n.size))
+        si = si_max = 0.0
+        for g in reference:
+            si += abs(complex(np.sum(g)))
+            si_max += float(np.max(np.abs(np.cumsum(g[::-1]))))
+        s20 = complex(np.sum(a[:, None] * b[None, :] * reference))
+        assert harness.type_sums(mu, nu, q, f, theta, a, b) == (s20, si, si_max)
 
 
 def test_vaughan_probe_checks_cap_before_rows(monkeypatch):
@@ -366,6 +411,6 @@ def test_type_sum_reproducibility():
     b1 = np.exp(2j * np.pi * rng1.random(8))
     a2 = np.exp(2j * np.pi * rng2.random(4))
     b2 = np.exp(2j * np.pi * rng2.random(8))
-    s1 = harness.type2_S20(3, 4, 2, TM, 0.3, a1, b1)
-    s2 = harness.type2_S20(3, 4, 2, TM, 0.3, a2, b2)
+    s1 = harness.type_sums(3, 4, 2, TM, 0.3, a1, b1)
+    s2 = harness.type_sums(3, 4, 2, TM, 0.3, a2, b2)
     assert s1 == s2
