@@ -193,10 +193,22 @@ def _f_of(config: RunConfig) -> StronglyQMultiplicative:
     return make_digit_exponential(config.q, config.gamma_fraction())
 
 
+# window-approx draws kappa1 <= WINDOW_KAPPA1_MAX, a window lam <= WINDOW_LAM_MAX
+# and an offset a < q**(kappa1 + lam + 2); numpy draws int64, below 2**63
+WINDOW_KAPPA1_MAX = 2
+WINDOW_LAM_MAX = 4
+
+
 def _verify_rows(config: RunConfig) -> list[CheckRow]:
-    rng = np.random.default_rng(config.seed)
     f = _f_of(config)
     q = config.q
+    draw_exponent = WINDOW_KAPPA1_MAX + WINDOW_LAM_MAX + 2
+    if q**draw_exponent > 2**63:
+        raise CapacityError(
+            f"verify draws window offsets below q**{draw_exponent} = {q**draw_exponent}, "
+            f"above the int64 draw cap 2**63"
+        )
+    rng = np.random.default_rng(config.seed)
     rows: list[CheckRow] = []
 
     lam_max = 1
@@ -229,8 +241,8 @@ def _verify_rows(config: RunConfig) -> list[CheckRow]:
         rows.append(CheckRow("vaaler-sandwich", f"alpha={alpha:.4f} H={H}", defect, 0.0, "upper", 1e-9))
 
     for _ in range(100):
-        lam = int(rng.integers(1, 5))
-        kappa1 = int(rng.integers(0, 3))
+        lam = int(rng.integers(1, WINDOW_LAM_MAX + 1))
+        kappa1 = int(rng.integers(0, WINDOW_KAPPA1_MAX + 1))
         K = int(rng.integers(1, 6))
         a = int(rng.integers(0, q ** (kappa1 + lam + 2)))
         defect, bound = vaaler.window_approximation_defect(f, a, kappa1, kappa1 + lam, K)

@@ -124,10 +124,16 @@ def build_table(f: StronglyQMultiplicative, lam: int) -> FourierTable:
     return FourierTable(f, lam, values)
 
 
-@lru_cache(maxsize=12)
-def _trig_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos(pi a / n), sin(pi a / n) for a < n; big levels dominate, cache them."""
-    ang = np.pi * np.arange(n, dtype=np.float64) / n
+# both tables of every level of the deepest sweep (q = 2, 2**lam = TABLE_CAPACITY)
+@lru_cache(maxsize=2 * (TABLE_CAPACITY.bit_length() - 1))
+def _trig_tables(n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(pi a / n), sin(pi a / n) for a < count.
+
+    A quadratic-mean level of size n = q*m reads two of them, (m, m) and
+    (n, m), each 1/q of the level; the cache holds both tables of every
+    level, so repeated sweeps of one (q, lam) rebuild nothing.
+    """
+    ang = np.pi * np.arange(count, dtype=np.float64) / n
     return np.cos(ang), np.sin(ang)
 
 
@@ -144,15 +150,34 @@ def _digit_exponential_gamma(f: StronglyQMultiplicative) -> float | None:
     return float(gamma)
 
 
+def _centered(x: float) -> float:
+    """x reduced mod 2 to [-1, 1], so pi * x stays within [-pi, pi]."""
+    return x - 2.0 * round(x / 2.0)
+
+
+def _shifted_sin(
+    x: float, tables: tuple[np.ndarray, np.ndarray], out: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
+    """sin(x - pi a/n) over the tabled a, by angle addition, written to out."""
+    cos_a, sin_a = tables
+    np.multiply(cos_a, math.sin(x), out=out)
+    out -= np.multiply(sin_a, math.cos(x), out=tmp)
+    return out
+
+
 def _quadratic_mean_digit_exp(q: int, gamma: float, lam: int, t: float) -> list[float]:
     """Closed form |F_1(s)|^2 = (sin(pi q y) / (q sin(pi y)))^2, y = gamma - s/q.
 
-    Level l runs over a = b * q**l + k (b < q, k < q**l) as a (q, q**l)
-    view.  den = sin(pi (gamma - (t+a)/q**(l+1))) comes from the cached
-    tables by angle addition (sin computed first, then squared, so the
-    relative error stays ~1 ulp right where the Dirichlet ratio amplifies
-    it).  The numerator sin^2(pi (q gamma - (t+k)/q**l)) and the previous
-    partial products depend on k only, so they broadcast over the q rows.
+    Level l runs over a = b * m + k (b < q, k < m = q**l, n = q*m) one row
+    b at a time, so its temporaries are m long, not n.  The numerator
+    sin^2(pi (q gamma - (t+a)/m)) and the previous partial products depend
+    on k only and are shared by the q rows.  Row b divides them by den^2,
+    den = sin(pi x_b - pi k/n) with x_b = gamma - t/n - b/q (sin first, then
+    squared, so the relative error stays ~1 ulp right where the Dirichlet
+    ratio amplifies it).  Every scalar offset is reduced to [-1, 1] before
+    it is multiplied by pi: offsets formed or reduced any other way lose
+    the 1e-13 accuracy of the sums.  S_l adds the row sums in row order;
+    the last level keeps only those sums and never holds its n products.
     """
     sums: list[float] = []
     partial = np.ones(1, dtype=np.float64)
@@ -160,22 +185,27 @@ def _quadratic_mean_digit_exp(q: int, gamma: float, lam: int, t: float) -> list[
     for level in range(lam):
         m = q**level
         n = q * m
-        cos_tab, sin_tab = _trig_tables(n)
-        # the angles pi k / m are every q-th entry of the level's tables
-        d_off = math.pi * ((q * gamma - t / m) % 2.0)
-        s_num = math.sin(d_off) * cos_tab[::q] - math.cos(d_off) * sin_tab[::q]
-        weight = partial * (s_num * s_num * inv_q2)
-        c_off = math.pi * ((gamma - t / n) % 2.0)
-        den = cos_tab * math.sin(c_off)
-        den -= sin_tab * math.cos(c_off)
-        den2 = np.square(den, out=den).reshape(q, m)
-        limit = den2 < 1e-12
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.divide(weight, den2, out=den2)
-        # Dirichlet-kernel limit |F_1| -> 1 at integer argument
-        np.copyto(terms, partial, where=limit)
-        partial = terms.reshape(n)
-        sums.append(float(partial.sum()))
+        tmp = np.empty(m, dtype=np.float64)
+        x = math.pi * _centered(q * gamma - t / m)
+        weight = _shifted_sin(x, _trig_tables(m, m), np.empty(m, dtype=np.float64), tmp)
+        np.square(weight, out=weight)
+        weight *= inv_q2
+        weight *= partial
+        last = level == lam - 1
+        rows = np.empty(m if last else (q, m), dtype=np.float64)
+        den_tables = _trig_tables(n, m)
+        total = 0.0
+        for b in range(q):
+            x_b = math.pi * _centered(gamma - t / n - b / q)
+            den = _shifted_sin(x_b, den_tables, rows if last else rows[b], tmp)
+            limit = np.square(den, out=den) < 1e-12
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = np.divide(weight, den, out=den)
+            # Dirichlet-kernel limit |F_1| -> 1 at integer argument
+            np.copyto(terms, partial, where=limit)
+            total += float(terms.sum())
+        sums.append(total)
+        partial = rows.reshape(-1)
     return sums
 
 
@@ -357,8 +387,11 @@ def digit_sum_decay_bound(
     return float(value), float(bound)
 
 
+@lru_cache(maxsize=32)
 def max_abs_F(f: StronglyQMultiplicative, lam: int) -> float:
-    """max over real t of |F_lam(t)| by dense grid plus refinement."""
+    """max over real t of |F_lam(t)| by dense grid plus refinement, cached
+    per (f, lam) like compute_constants: the almost-AP bound asks for the
+    same few windows many times."""
     if lam == 0:
         return 1.0
     period = float(f.q**lam)

@@ -229,13 +229,18 @@ def _row_block(
     return dense
 
 
+def _rows_total(dense: np.ndarray, per_row) -> float:
+    """sum over rows of per_row(rows), added in row order; per_row sees
+    chunks of consecutive rows of at most KERNEL_BLOCK elements (one row at
+    least), so its temporaries stay small."""
+    step = max(1, KERNEL_BLOCK // dense.shape[1])
+    values = np.concatenate([per_row(dense[i : i + step]) for i in range(0, len(dense), step)])
+    return float(np.cumsum(values)[-1])  # cumsum adds in order, one row after another
+
+
 def _suffix_max_sum(dense: np.ndarray) -> float:
-    """sum over rows of max_t |row[t] + ... + row[-1]|, added in row order.
-    One row at a time, so the cumulative copy is one row long, not a block."""
-    total = 0.0
-    for row in dense:
-        total += float(np.max(np.abs(np.cumsum(row[::-1]))))
-    return total
+    """sum over rows of max_t |row[t] + ... + row[-1]|, added in row order."""
+    return _rows_total(dense, lambda c: np.max(np.abs(np.cumsum(c[:, ::-1], axis=1)), axis=1))
 
 
 def rectangle_shape(q: int, mu: int, nu: int) -> tuple[int, int]:
@@ -274,9 +279,8 @@ def type_sums(
     m = np.arange(q ** (mu - 1), q**mu, dtype=np.int64)
     g = _row_block(m, np.full(rows, q ** (nu - 1)), np.full(rows, cols), f, theta)
     s20 = complex(np.sum(a[:, None] * b[None, :] * g))
-    si = 0.0
-    for row in g:  # not g.sum(axis=1), whose reduction order differs from a row's
-        si += abs(complex(np.sum(row)))
+    # hypot rounds as Python's abs(complex) does; numpy's complex abs does not
+    si = _rows_total(g, lambda c: np.hypot((s := c.sum(axis=1)).real, s.imag))
     return s20, si, _suffix_max_sum(g)
 
 

@@ -145,6 +145,13 @@ def test_capacity_exit():
     assert cli.main(["constants", "--q", "4097"]) == cli.EXIT_CAPACITY
 
 
+def test_verify_draw_cap(capsys):
+    # window offsets are drawn below q**8, which at q = 70000 leaves int64
+    assert cli.main(["verify", "--q", "70000"]) == cli.EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert "cap 2**63" in err and "Traceback" not in err
+
+
 def test_typesums_cap_before_coefficient_draws(monkeypatch, capsys):
     # 2**29 coefficient draws (4 GiB) would run before the cap check
     def no_draws(*args):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -128,23 +129,48 @@ def test_quadratic_mean_small_sweep():
 def test_quadratic_mean_fast_path_matches_generic(monkeypatch):
     # non-digit-exponential phases force the generic path; compare the
     # closed form on a digit exponential with the generic product rebuilt
-    # by hand, level by level
-    f = make_digit_exponential(5, Fraction(1, 3))
-    t = 0.31831
-
+    # by hand, level by level.  At t = 0 the rows b = q*gamma (mod q) of
+    # every level meet the Dirichlet limit at k = 0.
     def generic_path_taken(*args):
         raise AssertionError("digit exponential left the closed-form path")
 
-    with monkeypatch.context() as mp:
-        mp.setattr(fourier, "eval_F1", generic_path_taken)
-        fast = fourier.quadratic_mean(f, 5, t)
-    partial = np.ones(1)
-    for level in range(5):
-        a = np.arange(f.q ** (level + 1), dtype=np.float64)
-        partial = np.tile(partial, f.q) * np.abs(fourier.eval_F1(f, (t + a) / f.q**level)) ** 2
-        assert abs(fast[level] - float(partial.sum())) < 1e-11
-    # correctly rounded reference for the summation itself
-    assert abs(fast[-1] - math.fsum(partial)) < 1e-11
+    for q, gamma, t in ((5, Fraction(1, 3), 0.31831), (2, Fraction(1, 2), 0.0), (3, Fraction(1, 3), 0.0)):
+        f = make_digit_exponential(q, gamma)
+        with monkeypatch.context() as mp:
+            mp.setattr(fourier, "eval_F1", generic_path_taken)
+            fast = fourier.quadratic_mean(f, 5, t)
+        partial = np.ones(1)
+        for level in range(5):
+            a = np.arange(f.q ** (level + 1), dtype=np.float64)
+            partial = np.tile(partial, f.q) * np.abs(fourier.eval_F1(f, (t + a) / f.q**level)) ** 2
+            assert abs(fast[level] - float(partial.sum())) < 1e-11
+        # correctly rounded reference for the summation itself
+        assert abs(fast[-1] - math.fsum(partial)) < 1e-11
+
+
+def test_quadratic_mean_sweep_memory():
+    # each level's temporaries and cached tables are m = n/q long; with
+    # n-long ones the peak of this sweep was 382 MiB
+    fourier._trig_tables.cache_clear()
+    f = make_digit_exponential(5, Fraction(1, 3))
+    tracemalloc.start()
+    try:
+        sums = fourier.quadratic_mean(f, 10, 0.7071)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(abs(s - 1.0) for s in sums) < 1e-13
+    assert peak <= 200 * 2**20
+
+
+def test_quadratic_mean_near_dirichlet_poles():
+    # gamma = 1/2 at q = 3 puts the closed form next to its 0/0 points: the
+    # worst |S - 1| of such sweeps reaches about 3e-10
+    f = make_digit_exponential(3, Fraction(1, 2))
+    rng = np.random.default_rng(1004)
+    for t in [0.0, 1.0, *(rng.random(6) * 3)]:
+        sums = fourier.quadratic_mean(f, 10, float(t))
+        assert max(abs(s - 1.0) for s in sums) < 1e-9
 
 
 def test_quadratic_mean_generic_phases():

@@ -368,6 +368,8 @@ def test_rectangle_matches_per_row_reference(monkeypatch):
         (2, 3, 4, TM, 0.0),
         (3, 2, 3, make_digit_exponential(3, Fraction(1, 3)), 0.37),
         (5, 1, 2, make_digit_exponential(5, 0.3721), -0.25),  # float phases, mu = 1
+        (2, 9, 1, make_digit_exponential(2, Fraction(1, 3)), 0.0),  # 256 rows of width 1
+        (7, 2, 2, make_digit_exponential(7, Fraction(2, 7)), 0.61),
     ]
     rng = np.random.default_rng(3)
     for q, mu, nu, f, theta in cases:
@@ -385,7 +387,12 @@ def test_rectangle_matches_per_row_reference(monkeypatch):
             si += abs(complex(np.sum(g)))
             si_max += float(np.max(np.abs(np.cumsum(g[::-1]))))
         s20 = complex(np.sum(a[:, None] * b[None, :] * reference))
-        assert harness.type_sums(mu, nu, q, f, theta, a, b) == (s20, si, si_max)
+        # the row reductions run in chunks of whole rows; widths 8, 18, 20, 1
+        # and 42 leave a short last chunk at some of these chunk sizes
+        for block in (harness.KERNEL_BLOCK, 7, 64):
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, "KERNEL_BLOCK", block)
+                assert harness.type_sums(mu, nu, q, f, theta, a, b) == (s20, si, si_max)
 
 
 def test_vaughan_probe_checks_cap_before_rows(monkeypatch):
