@@ -30,6 +30,7 @@ import re
 import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -197,6 +198,10 @@ def _f_of(config: RunConfig) -> StronglyQMultiplicative:
 # and an offset a < q**(kappa1 + lam + 2); numpy draws int64, below 2**63
 WINDOW_KAPPA1_MAX = 2
 WINDOW_LAM_MAX = 4
+# l1-masked draws lam <= L1_LAM_MAX and almost-ap lam <= ALMOST_AP_LAM_MAX; both
+# need q**lam <= fourier.TABLE_CAPACITY
+L1_LAM_MAX = 6
+ALMOST_AP_LAM_MAX = 8
 
 
 def _verify_rows(config: RunConfig) -> list[CheckRow]:
@@ -207,6 +212,13 @@ def _verify_rows(config: RunConfig) -> list[CheckRow]:
         raise CapacityError(
             f"verify draws window offsets below q**{draw_exponent} = {q**draw_exponent}, "
             f"above the int64 draw cap 2**63"
+        )
+    table_exponent = max(L1_LAM_MAX, ALMOST_AP_LAM_MAX)
+    if q**table_exponent > fourier.TABLE_CAPACITY:
+        raise CapacityError(
+            f"verify sums over q**lam points for lam up to {table_exponent}: "
+            f"q**{table_exponent} = {q**table_exponent} exceeds table capacity "
+            f"{fourier.TABLE_CAPACITY}"
         )
     rng = np.random.default_rng(config.seed)
     rows: list[CheckRow] = []
@@ -251,7 +263,7 @@ def _verify_rows(config: RunConfig) -> list[CheckRow]:
         )
 
     for _ in range(40):
-        lam = int(rng.integers(1, 7))
+        lam = int(rng.integers(1, L1_LAM_MAX + 1))
         delta = int(rng.integers(0, lam + 1))
         a = int(rng.integers(0, q**delta))
         t = float(rng.random() * q**lam)
@@ -268,7 +280,7 @@ def _verify_rows(config: RunConfig) -> list[CheckRow]:
         rows.append(CheckRow("large-sieve", f"lam={lam} n={count}", value, bound, "upper", -1e-12))
 
     for _ in range(20):
-        lam = int(rng.integers(2, 9))
+        lam = int(rng.integers(2, ALMOST_AP_LAM_MAX + 1))
         A = float(1.0 + rng.random() * (q ** (lam - 1) - 1.0))
         B = float(rng.random() * 10)
         value, bound = fourier.almost_ap_l2_sum(f, 0, lam, A, B)
@@ -531,7 +543,7 @@ def run(config: RunConfig) -> int:
 
 def _write_report(report: dict, config: RunConfig) -> None:
     if config.format == "json":
-        text = json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
+        text = _json_text(report) + "\n"
     else:
         text = _to_csv(report)
     if config.output_path == "-":
@@ -542,6 +554,47 @@ def _write_report(report: dict, config: RunConfig) -> None:
                 fh.write(text)
         except OSError as exc:
             raise PreconditionError(f"cannot write {config.output_path!r}: {exc.strerror}") from exc
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2, default=_json_default), byte
+    for byte, without the pure-Python encoder that dumps runs under indent.
+
+    indent is the newline and indentation in front of obj's own line.  Keys
+    must be strings, which every report's are.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == math.inf:
+            return "Infinity"
+        if obj == -math.inf:
+            return "-Infinity"
+        return float.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return _json_text(_json_default(obj), indent)
 
 
 def _json_default(obj):

@@ -27,6 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
+from .qmult import frac
 
 RationalOrFloat = Fraction | int | float
 
@@ -66,7 +67,7 @@ def geometric_sum(L1: int, L2: int, xi: float) -> BoundReport:
     if L1 > L2:
         raise ValueError(f"need L1 <= L2, got ({L1}, {L2})")
     ls = np.arange(L1 + 1, L2 + 1, dtype=np.float64)
-    exact = abs(np.sum(_e_of_phases(np.mod(ls * xi, 1.0))))
+    exact = abs(np.sum(_e_of_phases(frac(ls * xi))))
     sin = abs(math.sin(math.pi * xi))
     length = float(L2 - L1)
     bound = length if sin == 0.0 else min(length, 1.0 / sin)
@@ -154,7 +155,7 @@ def weyl_quadratic(
     else:
         n = np.arange(n0 + 1, n0 + N + 1, dtype=np.float64)
         phases = alpha * n * n + beta * n + gamma
-    exact = abs(np.sum(_e_of_phases(np.mod(phases, 1.0))))
+    exact = abs(np.sum(_e_of_phases(frac(phases))))
     log_m = math.log(m)
     bound = N / math.sqrt(m) + math.sqrt(N * log_m) + math.sqrt(m * log_m)
     return BoundReport(float(exact), bound, explicit_constant=False, label="weyl-quadratic")
@@ -291,9 +292,9 @@ def bilinear_quadratic_sum(
             num, den = xi.numerator, xi.denominator
             phases += ((num * mono.astype(object)) % den).astype(np.float64) / den
         else:
-            phases += np.mod(xi * mono.astype(np.float64), 1.0)
+            phases += frac(xi * mono.astype(np.float64))
     weights = np.outer(a, b)
-    return complex(np.sum(weights * _e_of_phases(np.mod(phases, 1.0))))
+    return complex(np.sum(weights * _e_of_phases(frac(phases))))
 
 
 def bound_mn2(M: int, N: int, xi3: RationalOrFloat) -> float:
@@ -343,7 +344,7 @@ def second_derivative_report(theta: float, N: int) -> BoundReport:
     if theta <= 0:
         raise DomainError(f"theta must be > 0, got {theta}")
     n = np.arange(1, N + 1, dtype=np.float64)
-    exact = abs(np.sum(_e_of_phases(np.mod(theta * n * n, 1.0))))
+    exact = abs(np.sum(_e_of_phases(frac(theta * n * n))))
     lam2 = 2.0 * theta
     bound = math.sqrt(lam2) * N + 1.0 / math.sqrt(lam2)
     return BoundReport(float(exact), bound, explicit_constant=False, label="second-derivative")

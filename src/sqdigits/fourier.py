@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, DomainError, PreconditionError
-from .qmult import StronglyQMultiplicative, is_proper, make_digit_exponential
+from .qmult import StronglyQMultiplicative, frac, is_proper, make_digit_exponential
 
 TABLE_CAPACITY = 1 << 24
 GRID_DENSITY = 4096
@@ -449,7 +449,7 @@ def large_sieve_sum(
     if not 0.0 < delta <= 0.5:
         raise PreconditionError(f"need 0 < delta <= 1/2, got {delta}")
     lam = kappa2 - kappa1
-    pts = np.sort(np.mod(np.asarray(nodes, dtype=np.float64), 1.0))
+    pts = np.sort(frac(np.asarray(nodes, dtype=np.float64)))
     if len(pts) > 1:
         gaps = np.diff(pts)
         wrap = 1.0 - pts[-1] + pts[0]

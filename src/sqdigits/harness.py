@@ -35,7 +35,7 @@ import numpy as np
 
 from .digits import checked_pow
 from .errors import CapacityError, PreconditionError
-from .qmult import StronglyQMultiplicative, _cached_numerators
+from .qmult import StronglyQMultiplicative, _cached_numerators, frac
 from .sieve import prime_arrays
 
 LAMBDA_SUM_CAP = 10**8
@@ -125,7 +125,7 @@ def _twisted_square(f: StronglyQMultiplicative, n: np.ndarray, theta: float) -> 
     theta = math.fmod(theta, 1.0)
     phases = phase_array(f, n * n)
     if theta != 0.0:
-        phases += np.mod(theta * n.astype(np.float64), 1.0)
+        phases += frac(theta * n.astype(np.float64))
     return np.exp(2j * np.pi * phases)
 
 

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
+import numpy as np
+
 from .digits import rep_window
 
 Phase = Fraction | float
@@ -32,6 +34,16 @@ _PROPERNESS_TOL = 1e-10
 def e(x: float) -> complex:
     """exp(2*pi*i*x)."""
     return cmath.exp(2j * math.pi * x)
+
+
+def frac(x: np.ndarray) -> np.ndarray:
+    """x mod 1 of a float array, bitwise equal to np.mod(x, 1.0) and faster.
+
+    For x >= 0 both are exact; for x < 0 both round the true x - floor(x)
+    once (fmod by 1 is exact, adding 1 rounds), and both give +0.0 on
+    integers.
+    """
+    return x - np.floor(x)
 
 
 @dataclass(frozen=True)
@@ -52,8 +64,9 @@ class StronglyQMultiplicative:
             if not 0 <= p < 1:
                 raise ValueError(f"phases must lie in [0, 1), got {p}")
 
-    # exact and the hash scan all q phases, so each is computed once per
-    # instance; phase_of and the cached digit tables read them on every call
+    # exact, the hash and the digit values scan all q phases, so each is
+    # computed once per instance; phase_of, the cached digit tables and
+    # every eval_F1 call read them
     @cached_property
     def exact(self) -> bool:
         """True when every phase is stored as an exact rational."""
@@ -66,7 +79,7 @@ class StronglyQMultiplicative:
     def __hash__(self) -> int:
         return self._hash
 
-    @property
+    @cached_property
     def digit_values(self) -> tuple[complex, ...]:
         return tuple(e(float(p)) for p in self.phases)
 

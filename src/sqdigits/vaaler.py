@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .fourier import build_table
-from .qmult import StronglyQMultiplicative, eval_truncated
+from .qmult import StronglyQMultiplicative, eval_truncated, frac
 
 CHI_INDICATOR = "chi-indicator"
 CHI_POLY = "chi-poly"
@@ -161,7 +161,7 @@ def sandwich_defect(kernel: VaalerKernel, grid_n: int) -> float:
     else:
         jumps = np.array([-kernel.alpha / 2 % 1.0, kernel.alpha / 2 % 1.0])
     for j in jumps:
-        xs = xs[np.abs(((xs - j) + 0.5) % 1.0 - 0.5) > 1e-9]
+        xs = xs[np.abs(frac((xs - j) + 0.5) - 0.5) > 1e-9]
     hs = np.arange(-kernel.H, kernel.H + 1)
     chi_c = coeff_chi_array(kernel, hs)
     b_c = coeff_B_array(kernel, hs)
@@ -188,17 +188,24 @@ def aliased_chi_sq_sum(U: int, a: int) -> TruncatedSeriesSum:
 
     The series is truncated at |k| <= 10**6 / U; the discarded tail is at
     most 2 / (pi^2 k_max) and is reported rather than silently dropped.
+    For h = k U + a, sin(pi h / U) = (-1)**k sin(pi (a mod U) / U) exactly,
+    and the sign drops out of the square, so one sine serves every term.
     """
     if U < 2:
         raise ValueError(f"U must be >= 2, got {U}")
     alpha = 1.0 / U
     k_max = _ALIASED_TERMS // U
-    k = np.arange(-k_max, k_max + 1, dtype=np.float64)
-    h = k * U + a
-    vals = np.where(
-        h == 0.0, alpha, np.sin(np.pi * h * alpha) / np.where(h == 0.0, 1.0, np.pi * h)
-    )
-    value = float(np.sum(vals**2))
+    s = math.sin(math.pi * (a % U) / U)
+    terms = np.arange(-k_max, k_max + 1, dtype=np.float64)
+    terms *= U
+    terms += a
+    terms *= np.pi  # pi * h
+    with np.errstate(invalid="ignore"):  # 0/0 at h = 0, set below
+        np.divide(s, terms, out=terms)
+    if a % U == 0 and abs(a) <= k_max * U:
+        terms[k_max - a // U] = alpha
+    np.square(terms, out=terms)
+    value = float(np.sum(terms))
     tail = 2.0 / (math.pi**2 * k_max)
     return TruncatedSeriesSum(value, tail)
 

@@ -1,13 +1,15 @@
 """CLI surface: flags, exit codes, report formats, determinism."""
 
 import json
+import math
+import time
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from sqdigits import cli, harness
+from sqdigits import cli, fourier, harness
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "src" / "sqdigits" / "report_schema.json").read_text()
@@ -150,6 +152,70 @@ def test_verify_draw_cap(capsys):
     assert cli.main(["verify", "--q", "70000"]) == cli.EXIT_CAPACITY
     err = capsys.readouterr().err
     assert "cap 2**63" in err and "Traceback" not in err
+
+
+def test_verify_table_cap_before_any_suite(monkeypatch, capsys):
+    # the l1-masked and almost-ap suites sum over q**lam points for lam up to 6
+    # and 8; above q = 8 that exceeds TABLE_CAPACITY, and it must show before
+    # the first suite, not seconds into the run
+    class SuiteStarted(Exception):
+        pass
+
+    def started(*args):
+        raise SuiteStarted
+
+    monkeypatch.setattr(fourier, "quadratic_mean", started)
+    for q in (9, 17, 234):
+        start = time.perf_counter()
+        assert cli.main(["verify", "--q", str(q), "--gamma", "1/3"]) == cli.EXIT_CAPACITY
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "table capacity" in err and "Traceback" not in err
+    with pytest.raises(SuiteStarted):
+        cli.main(["verify", "--q", "8", "--gamma", "1/3"])
+
+
+REPORT_ARGV = (
+    ["verify", "--q", "2", "--gamma", "1/2", "--seed", "3"],
+    ["constants", "--q", "3", "--gamma", "1/3"],
+    ["equidist", "--q", "3", "--m", "5", "--x", "1e4"],
+    ["expsum", "--family", "vdc", "--seed", "2"],
+    ["typesums", "--q", "2", "--gamma", "1/2", "--mu", "3", "--nu", "4", "--theta", "0.3"],
+    ["decay", "--q", "2", "--gamma", "1/2", "--xs", "1e3,1e4,1e5", "--theta", "0.37"],
+)
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, default=cli._json_default)
+
+
+def test_json_text_matches_json_dumps(tmp_path, monkeypatch):
+    reports = []
+    write_report = cli._write_report
+
+    def capture(report, config):
+        reports.append(report)
+        write_report(report, config)
+
+    monkeypatch.setattr(cli, "_write_report", capture)
+    for argv in REPORT_ARGV:
+        code, out = run_cli(argv, tmp_path)
+        assert code == cli.EXIT_OK
+        assert cli._json_text(reports[-1]) == _dumps(reports[-1])
+        assert out.read_text() == _dumps(reports[-1]) + "\n"
+    odd = {
+        "quote\" back\\slash \n\t\x00\x1f\x7f": ["caf\u00e9", "\u4e2d", "\U0001f600", ""],
+        "floats": [math.nan, math.inf, -math.inf, -0.0, 0.1, 1e300, 5e-324],
+        "ints": [0, -1, 2**70, -(2**70), True, False, None],
+        "complex": [1 + 2j, complex(math.inf, -0.0)],
+        "numpy": [np.float64(0.1), np.float32(0.5), np.int64(-3), np.uint8(7)],
+        "empty": [{}, [], (), ""],
+        "nested": {"b": [{"z": {}, "a": [[]]}], "a": (1, (2.5,))},
+        "": {},
+    }
+    assert cli._json_text(odd) == _dumps(odd)
+    for scalar in ("x", 1, 1.5, None, math.nan, [], {}):
+        assert cli._json_text(scalar) == _dumps(scalar)
 
 
 def test_typesums_cap_before_coefficient_draws(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Strongly q-multiplicative functions: construction, properness, evaluation."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from sqdigits.qmult import (
     StronglyQMultiplicative,
     eval_truncated,
     evaluate,
+    frac,
     is_proper,
     make_constant_one,
     make_digit_exponential,
@@ -166,3 +168,47 @@ def test_exactness_and_hash_are_computed_once(monkeypatch):
     assert make_digit_exponential(2**17, Fraction(2, 5)) != f
     assert hash(thue_morse()) == hash((2, thue_morse().phases))
     assert not make_digit_exponential(3, 0.25).exact
+
+
+def test_digit_values_are_computed_once(monkeypatch):
+    f = make_digit_exponential(5, Fraction(1, 3))
+    values = f.digit_values
+    assert values == tuple(cmath.exp(2j * math.pi * float(p)) for p in f.phases)
+    to_float = []
+    fraction_float = Fraction.__float__
+
+    def counting_float(self):
+        to_float.append(self)
+        return fraction_float(self)
+
+    monkeypatch.setattr(Fraction, "__float__", counting_float)
+    for _ in range(3):
+        assert f.digit_values is values
+    assert to_float == []
+
+
+_FRAC_EDGES = [
+    0.0, -0.0, 1.0, -1.0, 7.0, -7.0, 0.5, -0.5, 0.25, -0.75,
+    5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072009e-308,
+    -1e-20, 1e-20, 1e300, -1e300, 2.0**52 + 0.5, -(2.0**52) - 0.5, 2.0**53, -(2.0**53),
+    math.nextafter(1.0, 0.0), -math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0),
+]
+
+
+def _bits(x: np.ndarray) -> list[int]:
+    return x.view(np.uint64).tolist()
+
+
+def test_frac_is_np_mod_bitwise():
+    x = np.array(_FRAC_EDGES)
+    assert _bits(frac(x)) == _bits(np.mod(x, 1.0))
+    assert _bits(frac(np.array([-0.0, -3.0, 4.0]))) == _bits(np.zeros(3))  # +0.0, not -0.0
+    draws = np.random.default_rng(0).standard_normal(10**5) * 10.0 ** np.arange(-20, 20).repeat(2500)
+    assert _bits(frac(draws)) == _bits(np.mod(draws, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+def test_frac_is_np_mod_bitwise_hypothesis(values):
+    x = np.array(values, dtype=np.float64)
+    assert _bits(frac(x)) == _bits(np.mod(x, 1.0))

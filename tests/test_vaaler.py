@@ -120,6 +120,27 @@ def test_aliased_sum():
         vaaler.aliased_chi_sq_sum(1, 0)
 
 
+def _aliased_reference(U: int, a: int) -> float:
+    """The per-element formula: a numpy sine of pi h / U at every h = k U + a."""
+    alpha = 1.0 / U
+    k_max = 10**6 // U
+    h = np.arange(-k_max, k_max + 1, dtype=np.float64) * U + a
+    vals = np.where(
+        h == 0.0, alpha, np.sin(np.pi * h * alpha) / np.where(h == 0.0, 1.0, np.pi * h)
+    )
+    return float(np.sum(vals**2))
+
+
+def test_aliased_sum_matches_per_element_sines():
+    for U in range(2, 9):
+        for a in range(-U, 2 * U):
+            value = vaaler.aliased_chi_sq_sum(U, a).value
+            assert abs(value - _aliased_reference(U, a)) <= 1e-16, (U, a)
+    # beyond the truncation no h is 0, and every sine vanishes when U divides a
+    assert vaaler.aliased_chi_sq_sum(2, 2 * 10**6).value == 0.0
+    assert vaaler.aliased_chi_sq_sum(3, 6).value == 1 / 9
+
+
 def _convolution_by_quadrature(coeffs1, coeffs2, hs, x):
     """(g1 conv g2)(x) through values on a uniform grid; exact for trig polys."""
     H = int(np.max(np.abs(hs)))
