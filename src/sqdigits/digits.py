@@ -25,8 +25,9 @@ def checked_pow(q: int, kappa: int) -> int:
         raise ValueError(f"base must be >= 2, got {q}")
     if kappa < 0:
         raise ValueError(f"exponent must be >= 0, got {kappa}")
-    value = q**kappa
-    if value >= _WORKING_LIMIT:
+    # q >= 2, so kappa >= WORKING_RANGE_BITS already puts q**kappa out of range,
+    # and the power is never built
+    if kappa >= WORKING_RANGE_BITS or (value := q**kappa) >= _WORKING_LIMIT:
         raise CapacityError(
             f"{q}**{kappa} exceeds the {WORKING_RANGE_BITS}-bit working range"
         )

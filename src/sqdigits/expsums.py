@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .qmult import frac
+from .qmult import _circle_distance, frac
 
 RationalOrFloat = Fraction | int | float
 
@@ -52,12 +52,6 @@ class BoundReport:
         return self.ratio <= 1.0 + 1e-9
 
 
-def _nearest_int_distance(x: RationalOrFloat) -> float:
-    if isinstance(x, Fraction):
-        return abs(float(x - round(x)))
-    return abs(x - round(x))
-
-
 def _e_of_phases(phases: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * phases)
 
@@ -80,7 +74,7 @@ def min_sum(N1: int, N2: int, M: float, xi: float, phi: float) -> BoundReport:
     bound = (3 + floor((N2-N1)||xi||)) (3M + ||xi||^-1 log ||xi||^-1) with the
     implied constant set to 1.
     """
-    dist = _nearest_int_distance(xi)
+    dist = _circle_distance(xi)
     if dist == 0.0:
         raise DomainError("xi must not be an integer")
     if M <= 0:
@@ -299,7 +293,7 @@ def bilinear_quadratic_sum(
 
 def bound_mn2(M: int, N: int, xi3: RationalOrFloat) -> float:
     """Right side (implied constant 1) bounding |S/(MN)|^2 for phases xi3 mn^2 + xi1 mn."""
-    dist = _nearest_int_distance(xi3)
+    dist = _circle_distance(xi3)
     if dist == 0.0:
         raise DomainError("xi3 must not be an integer")
     log2 = math.log(1.0 / dist) ** 2
@@ -308,7 +302,7 @@ def bound_mn2(M: int, N: int, xi3: RationalOrFloat) -> float:
 
 def bound_xi2(M: int, N: int, xi2: RationalOrFloat) -> float:
     """Right side (implied constant 1) bounding |S/(MN)|^2 when xi2 is non-integral."""
-    dist = _nearest_int_distance(xi2)
+    dist = _circle_distance(xi2)
     if dist == 0.0:
         raise DomainError("xi2 must not be an integer")
     return dist ** (1.0 / 3.0) + 1.0 / (M * math.sqrt(N) * math.sqrt(dist)) + M**-0.5 + 1.0 / N
@@ -316,7 +310,7 @@ def bound_xi2(M: int, N: int, xi2: RationalOrFloat) -> float:
 
 def bound_m2n2(M: int, N: int, xi4: RationalOrFloat) -> float:
     """Right side (implied constant 1) bounding |S/(MN)|^4 when xi4 is non-integral."""
-    dist = _nearest_int_distance(xi4)
+    dist = _circle_distance(xi4)
     if dist == 0.0:
         raise DomainError("xi4 must not be an integer")
     log1 = math.log(1.0 / dist)

@@ -34,12 +34,20 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, DomainError, PreconditionError
-from .qmult import StronglyQMultiplicative, frac, is_proper, make_digit_exponential
+from .qmult import StronglyQMultiplicative, _circle_distance, frac, is_proper, make_digit_exponential
 
 TABLE_CAPACITY = 1 << 24
 GRID_DENSITY = 4096
 MAX_CONSTANTS_Q = TABLE_CAPACITY // GRID_DENSITY  # largest q whose constants grid fits
 REFINE_TOL = 1e-10
+
+
+def _table_points(q: int, lam: int) -> int:
+    """q**lam, refused above TABLE_CAPACITY."""
+    qlam = q**lam
+    if qlam > TABLE_CAPACITY:
+        raise CapacityError(f"q**lam = {qlam} exceeds table capacity {TABLE_CAPACITY}")
+    return qlam
 
 
 def _as_array(t) -> np.ndarray:
@@ -76,9 +84,7 @@ def eval_F(f: StronglyQMultiplicative, lam: int, t) -> np.ndarray | complex:
 
 def eval_F_direct(f: StronglyQMultiplicative, lam: int, t) -> complex:
     """The defining O(q**lam) sum; retained as an oracle for small windows."""
-    qlam = f.q**lam
-    if qlam > TABLE_CAPACITY:
-        raise CapacityError(f"q**lam = {qlam} exceeds table capacity {TABLE_CAPACITY}")
+    qlam = _table_points(f.q, lam)
     u = np.arange(qlam)
     fu = np.array([complex(v) for v in _digit_value_table(f, lam)])
     return complex(np.sum(fu * np.exp(-2j * math.pi * float(t) * u / qlam)) / qlam)
@@ -114,9 +120,7 @@ def build_table(f: StronglyQMultiplicative, lam: int) -> FourierTable:
     """
     if lam < 0:
         raise ValueError(f"window length must be >= 0, got {lam}")
-    qlam = f.q**lam
-    if qlam > TABLE_CAPACITY:
-        raise CapacityError(f"q**lam = {qlam} exceeds table capacity {TABLE_CAPACITY}")
+    qlam = _table_points(f.q, lam)
     values = np.ones(1, dtype=np.complex128)
     for level in range(1, lam + 1):
         h = np.arange(f.q**level, dtype=np.float64)
@@ -221,8 +225,7 @@ def quadratic_mean(f: StronglyQMultiplicative, lam: int, t: float) -> list[float
     by level in the tests).
     """
     q = f.q
-    if q**lam > TABLE_CAPACITY:
-        raise CapacityError(f"q**lam = {q**lam} exceeds table capacity {TABLE_CAPACITY}")
+    _table_points(q, lam)
     t = t % 1.0  # S_l has exact period 1; reduction keeps every phase small
     gamma = _digit_exponential_gamma(f)
     if gamma is not None:
@@ -331,7 +334,7 @@ def compute_constants(f: StronglyQMultiplicative) -> SpectralConstants:
 
 def c_lower_bound_digit_sum(q: int, gamma: Fraction | float) -> float:
     """pi^2 (q-1) / (12 (q+1) log q) * ||(q-1) gamma||^2."""
-    dist = _nearest_int_distance((q - 1) * gamma)
+    dist = _circle_distance((q - 1) * gamma)
     return math.pi**2 * (q - 1) / (12.0 * (q + 1) * math.log(q)) * dist**2
 
 
@@ -340,13 +343,6 @@ def eta_upper_bound_digit_sum(q: int) -> float:
     return (
         2.0 / (q * math.sin(math.pi / (2 * q))) + (2.0 / math.pi) * math.log(2 * q / math.pi)
     ) / math.log(q)
-
-
-def _nearest_int_distance(x: Fraction | float) -> float:
-    if isinstance(x, Fraction):
-        frac = x - round(x)
-        return abs(float(frac))
-    return abs(x - round(x))
 
 
 def l1_masked_sum(
@@ -360,8 +356,7 @@ def l1_masked_sum(
     if not 0 <= delta <= lam:
         raise PreconditionError(f"need 0 <= delta <= lam, got ({delta}, {lam})")
     q = f.q
-    if q**lam > TABLE_CAPACITY:
-        raise CapacityError(f"q**lam = {q**lam} exceeds table capacity {TABLE_CAPACITY}")
+    _table_points(q, lam)
     h = a % q**delta + q**delta * np.arange(q ** (lam - delta), dtype=np.float64)
     value = float(np.sum(np.abs(eval_F(f, lam, t + h))))
     eta = compute_constants(f).eta
@@ -380,7 +375,7 @@ def digit_sum_decay_bound(
     f = make_digit_exponential(q, gamma)
     lam = kappa2 - kappa1
     value = abs(eval_F(f, lam, t))
-    dist = _nearest_int_distance((q - 1) * gamma)
+    dist = _circle_distance((q - 1) * gamma)
     bound = math.exp(
         math.pi**2 / 48.0 - lam * math.pi**2 * (q - 1) / (12.0 * (q + 1)) * dist**2
     )
@@ -422,9 +417,7 @@ def almost_ap_l2_sum(
         alpha += 1
     if alpha >= lam:
         raise DomainError(f"need q**alpha <= A with alpha < window, got alpha={alpha}")
-    qlam = q**lam
-    if qlam > TABLE_CAPACITY:
-        raise CapacityError(f"q**lam = {qlam} exceeds table capacity {TABLE_CAPACITY}")
+    qlam = _table_points(q, lam)
     count = int(math.ceil(qlam / A))
     k = np.arange(count, dtype=np.float64)
     points = np.floor(k * A) + B

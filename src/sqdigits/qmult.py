@@ -25,10 +25,14 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .digits import rep_window
+from .errors import CapacityError
 
 Phase = Fraction | float
 
 _PROPERNESS_TOL = 1e-10
+# make_digit_exponential builds one Fraction phase per digit: 8-10 s at this q
+# on a 2-vCPU Xeon
+MAX_DIGIT_Q = 1 << 20
 
 
 def e(x: float) -> complex:
@@ -92,7 +96,10 @@ def _cached_numerators(f: StronglyQMultiplicative) -> tuple[int, tuple[int, ...]
 
 
 def make_digit_exponential(q: int, gamma: Fraction | float) -> StronglyQMultiplicative:
-    """The function e(gamma * s_q(n)), phases gamma*b mod 1."""
+    """The function e(gamma * s_q(n)), phases gamma*b mod 1; q above
+    MAX_DIGIT_Q is refused before any phase is built."""
+    if q > MAX_DIGIT_Q:
+        raise CapacityError(f"q = {q} exceeds the digit function cap {MAX_DIGIT_Q}")
     if isinstance(gamma, (Fraction, int)):
         gamma = Fraction(gamma)
         phases = tuple(Fraction(gamma * b) % 1 for b in range(q))
@@ -111,9 +118,10 @@ def thue_morse() -> StronglyQMultiplicative:
     return make_digit_exponential(2, Fraction(1, 2))
 
 
-def _circle_distance(x: float) -> float:
-    """Distance of x to the nearest integer."""
-    return abs(x - round(x))
+def _circle_distance(x: Fraction | float) -> float:
+    """Distance of x to the nearest integer, exact for a Fraction until the
+    final conversion."""
+    return abs(float(x - round(x)))
 
 
 def is_proper(f: StronglyQMultiplicative) -> bool:

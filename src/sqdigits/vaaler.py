@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .fourier import build_table
-from .qmult import StronglyQMultiplicative, eval_truncated, frac
+from .qmult import StronglyQMultiplicative, _circle_distance, eval_truncated, frac
 
 CHI_INDICATOR = "chi-indicator"
 CHI_POLY = "chi-poly"
@@ -254,8 +254,7 @@ def convolution_defects(U: int, H: int, ell: int) -> ConvolutionDefects:
 
 def chi_star_self_convolution(alpha: float, x: float) -> float:
     """chi*_alpha conv chi*_alpha(x) = alpha * max(1 - ||x||/alpha, 0)."""
-    dist = abs(x - round(x))
-    return alpha * max(1.0 - dist / alpha, 0.0)
+    return alpha * max(1.0 - _circle_distance(x) / alpha, 0.0)
 
 
 def chi_star_twisted_convolution_at_zero(alpha: float, ell: int) -> float:

@@ -1,13 +1,18 @@
 """CLI surface: flags, exit codes, report formats, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import time
+from datetime import timedelta
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqdigits import cli, fourier, harness
 
@@ -218,6 +223,45 @@ def test_json_text_matches_json_dumps(tmp_path, monkeypatch):
         assert cli._json_text(scalar) == _dumps(scalar)
 
 
+# argv that check_config refuses at once: (argv, exit code, a part of the
+# message, the work that must not start; reached, it runs for seconds, for
+# ever, or into a traceback)
+REFUSED = [
+    (["verify", "--q", "100000"], cli.EXIT_CAPACITY, "cap 2**63",
+     ("sqdigits.cli.make_digit_exponential", "numpy.random.default_rng")),
+    (["verify", "--q", "3", "--gamma", "1/2"], cli.EXIT_USAGE, "proper",
+     ("sqdigits.fourier.quadratic_mean", "numpy.random.default_rng")),
+    (["constants", "--q", "1000000"], cli.EXIT_CAPACITY, "grid",
+     ("sqdigits.cli.make_digit_exponential",)),
+    (["decay", "--q", str(10**29), "--xs", "10,20,30"], cli.EXIT_CAPACITY, "digit function cap",
+     ("sqdigits.cli.make_digit_exponential", "sqdigits.harness.lambda_weighted_sum")),
+    (["decay", "--xs", "1e7,1e8,2e8"], cli.EXIT_CAPACITY, "exceeds the cap",
+     ("sqdigits.harness.lambda_weighted_sum",)),
+    (["equidist", "--q", str(2**64)], cli.EXIT_CAPACITY, "uint64 digit kernel",
+     ("sqdigits.harness.equidist_counts",)),
+    (["equidist", "--m", "10000000000"], cli.EXIT_CAPACITY, "table capacity",
+     ("sqdigits.harness.equidist_counts",)),
+    (["equidist", "--m", str(2**62)], cli.EXIT_CAPACITY, "table capacity",
+     ("sqdigits.harness.equidist_counts",)),
+    (["typesums", "--q", "3", "--gamma", "1/3", "--mu", "30000000", "--nu", "1"],
+     cli.EXIT_CAPACITY, "working range", ("numpy.random.default_rng",)),
+]
+
+
+@pytest.mark.parametrize("argv, code, message, work", REFUSED, ids=[" ".join(r[0]) for r in REFUSED])
+def test_refused_before_any_work(argv, code, message, work, monkeypatch, capsys):
+    def started(*args, **kwargs):
+        raise AssertionError(f"work started before {argv} was refused")
+
+    for target in work:
+        monkeypatch.setattr(target, started)
+    start = time.perf_counter()
+    assert cli.main(argv) == code
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_typesums_cap_before_coefficient_draws(monkeypatch, capsys):
     # 2**29 coefficient draws (4 GiB) would run before the cap check
     def no_draws(*args):
@@ -271,3 +315,97 @@ def test_gamma_parsing():
     assert cli._parse_gamma("3/7") == "3/7"
     assert cli._parse_gamma("-1/2") == "-1/2"
     assert cli._parse_gamma("2") == "2"
+
+
+# Fuzzed argv: each flag has small valid values and boundary values: 0, 1, -1,
+# 2**63, 2**64, 10**29, nan, inf, 1e300 and junk, and half the time an edge of
+# the flag's own caps or preconditions.  An example gives one flag, the probe,
+# a boundary value and the others valid values or their defaults.  An accepted
+# value at a cap (verify q = 8, constants q = 4096, x = 10**8, a 2**26
+# rectangle, 2**24 residue bins) runs for seconds to hours, so the cap edges
+# drawn are those a subcommand refuses; test_refused_before_any_work patches
+# out the work instead.
+EDGES = ["0", "1", "-1", str(2**63), str(2**64), str(10**29), "nan", "inf", "1e300",
+         "", "abc", "1/", "--", "0x10", "-inf"]
+MISSING_DIR = "<missing>"
+
+
+def edges(*own):
+    return st.one_of(st.sampled_from(own), st.sampled_from(EDGES)) if own else st.sampled_from(EDGES)
+
+
+THETA = (["0", "0.3", "-0.77", "1e10"], edges("-1e300"))
+COMMON_FLAGS = {
+    "--gamma": (["1/2", "1/3", "2/7", "-1/5"], edges("3/2", "1/0", "0.5", f"{2**64}/3")),
+    "--seed": (["1", "7"], edges()),
+    "--format": (["json", "csv"], edges("xml")),
+    "--output": (["-"], st.just(MISSING_DIR)),  # never a path that a report could be written to
+}
+COMMAND_FLAGS = {
+    "verify": {"--q": (["2"], edges("9", "233", "234", "235", "70000"))},
+    "constants": {"--q": (["2", "3", "5", "13"], edges("4097"))},
+    "equidist": {
+        "--q": (["2", "3", "10"], edges(str(2**64 - 1), str(2**64 + 1))),
+        "--m": (["2", "3", "5", "4096"], edges(str(2**24 + 1), "10000000000", str(2**62))),
+        "--x": (["2", "10", "1e3", "1e5"], edges(str(10**9 + 1), "1e12")),
+    },
+    "expsum": {"--q": (["2"], edges()), "--family": (list(cli.EXPSUM_FAMILIES), edges("nope"))},
+    "typesums": {
+        "--q": (["2", "3"], edges("4097", "8193")),
+        "--mu": (["1", "2", "3", "6"], edges("27", "30000000")),
+        "--nu": (["1", "2", "4", "6"], edges("27")),
+        "--theta": THETA,
+    },
+    "decay": {
+        "--q": (["2", "3"], edges(str(2**20 + 1))),
+        "--xs": (["10,20,30", "2,3,4", "1e3,1e4,1e5"],
+                 edges("1e7,1e8,2e8", f"10,20,{10**8 + 1}", "1e3,1e4", "1e4,1e3,1e5",
+                       "1e3,1e4,1e300", "1e3,1e4,inf", "1e3,nan,1e5", ",", "1e3,1e4,1e5,")),
+        "--theta": THETA,
+    },
+}
+# the default mu = 6, nu = 10 is a 3**16-point rectangle at q = 3
+ALWAYS = {"typesums": ("--mu", "--nu")}
+# an accepted verify is a 1 s run, so verify is drawn half as often as the rest
+COMMANDS = 2 * ["constants", "decay", "equidist", "expsum", "typesums"] + ["verify"]
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    flags = {**COMMON_FLAGS, **COMMAND_FLAGS[command]}
+    probe = draw(st.sampled_from(sorted(flags)))
+    argv = [command]
+    for flag, (valid, boundary) in flags.items():
+        if flag == probe:
+            argv += [flag, draw(boundary)]
+        elif flag in ALWAYS.get(command, ()) or draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(valid))]
+    return argv
+
+
+def _nonfinite(obj):
+    """(value, the container holding it, its key) of every non-finite float in obj."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        if isinstance(value, float) and not math.isfinite(value):
+            yield value, obj, key
+        else:
+            yield from _nonfinite(value)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=timedelta(seconds=5))
+@given(argv=argvs())
+def test_fuzz_argv(argv, tmp_path_factory):
+    missing = str(tmp_path_factory.getbasetemp() / "no-such-dir" / "report.json")
+    argv = [missing if a == MISSING_DIR else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1) and "csv" not in argv:
+        report = json.loads(out.getvalue())
+        jsonschema.validate(report, SCHEMA)
+        for value, row, key in _nonfinite(report):
+            assert (key, value, row.get("bound")) == ("ratio", math.inf, 0), argv

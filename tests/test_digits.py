@@ -1,5 +1,6 @@
 """Digit decomposition, windows, and digit sums."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -55,6 +56,14 @@ def test_checked_pow_overflow():
     with pytest.raises(CapacityError):
         checked_pow(2, 128)
     assert checked_pow(2, 127) == 2**127
+    assert checked_pow(3, 80) == 3**80
+    with pytest.raises(CapacityError, match=r"3\*\*81 exceeds"):
+        checked_pow(3, 81)
+    # refused from the exponent alone: building 3**(10**9) takes minutes
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match=r"3\*\*1000000000 exceeds"):
+        checked_pow(3, 10**9)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_round_trip_bulk():

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqdigits.errors import CapacityError
 from sqdigits.qmult import (
+    MAX_DIGIT_Q,
     StronglyQMultiplicative,
     eval_truncated,
     evaluate,
@@ -168,6 +170,18 @@ def test_exactness_and_hash_are_computed_once(monkeypatch):
     assert make_digit_exponential(2**17, Fraction(2, 5)) != f
     assert hash(thue_morse()) == hash((2, thue_morse().phases))
     assert not make_digit_exponential(3, 0.25).exact
+
+
+def test_digit_exponential_cap_before_any_phase(monkeypatch):
+    def no_phases(*args):
+        raise AssertionError("a phase was built before the cap check")
+
+    monkeypatch.setattr(Fraction, "__mod__", no_phases)
+    for q in (MAX_DIGIT_Q + 1, 10**29):
+        with pytest.raises(CapacityError, match="digit function cap"):
+            make_digit_exponential(q, Fraction(1, 3))
+    monkeypatch.undo()
+    assert len(make_digit_exponential(7, Fraction(1, 3)).phases) == 7
 
 
 def test_digit_values_are_computed_once(monkeypatch):
