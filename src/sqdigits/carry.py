@@ -22,7 +22,7 @@ import numpy as np
 
 from .digits import checked_pow
 from .errors import CapacityError
-from .harness import KERNEL_BLOCK, TYPE_SUM_CAP, _phase_numerators
+from .harness import KERNEL_BLOCK, TYPE_SUM_CAP, _phase_numerators, _remainder
 from .qmult import StronglyQMultiplicative
 
 _FLOAT_PHASE_TOL = 1e-9
@@ -90,7 +90,7 @@ def _count_mismatches(
             count=len(terms) * len(ns),
         )
         nums, modulus = _phase_numerators(f, high.reshape(len(terms), len(ns)))
-        total = sum(sign * row for (sign, _, _), row in zip(terms, nums)) % modulus
+        total = _remainder(sum(sign * row for (sign, _, _), row in zip(terms, nums)), modulus)
         if isinstance(modulus, float):
             total = np.minimum(total, 1.0 - total) > _FLOAT_PHASE_TOL
         count += int(np.count_nonzero(total))

@@ -232,8 +232,8 @@ def check_config(config: RunConfig) -> None:
             raise PreconditionError(f"need m >= 2, got {config.m}")
         if q >= 2**64:
             raise CapacityError(f"q = {q} exceeds 2**64 - 1, the largest base of the uint64 digit kernel")
-        if config.m > fourier.TABLE_CAPACITY:
-            raise CapacityError(f"m = {config.m} residue bins exceed table capacity {fourier.TABLE_CAPACITY}")
+        if config.m > harness.EQUIDIST_BIN_CAP:
+            raise CapacityError(f"m = {config.m} residue bins exceed the bin cap {harness.EQUIDIST_BIN_CAP}")
         if config.x > sieve.PRIME_CAP:
             raise CapacityError(f"x = {config.x} exceeds the prime cap {sieve.PRIME_CAP}")
     elif command == "decay":

@@ -40,6 +40,7 @@ from .sieve import prime_arrays
 
 LAMBDA_SUM_CAP = 10**8
 TYPE_SUM_CAP = 1 << 26
+EQUIDIST_BIN_CAP = 1 << 16  # the report lists every residue count
 
 
 # The digit kernel reads k base-q digits per pass from a table of the q**k
@@ -79,21 +80,30 @@ def _phase_table(f: StronglyQMultiplicative) -> tuple[np.ndarray, int, int | flo
     return (*_block_table(np.array([float(p) for p in f.phases]), 1.0), 1.0)
 
 
+def _remainder(x: np.ndarray, d: int | float | np.uint64) -> np.ndarray:
+    """x % d by floor division and a multiply-subtract, for an array x and a
+    scalar d: numpy's // is several times faster than its % or divmod, and
+    floors, so this equals % on signed values too."""
+    return x - (x // d) * d
+
+
 def _digit_additive(values: np.ndarray, table: np.ndarray | None, size: int) -> np.ndarray:
     """Sum of table[d] (of d for table None) over the base-`size` digits d of each value."""
     flat = np.asarray(values, dtype=np.uint64).reshape(-1)
     out = np.empty(flat.shape, dtype=np.uint64 if table is None else table.dtype)
     radix = np.uint64(size)
     for start in range(0, flat.size, KERNEL_BLOCK):
-        block = flat[start : start + KERNEL_BLOCK]
+        high = flat[start : start + KERNEL_BLOCK]
         acc = out[start : start + KERNEL_BLOCK]
-        high, low = np.divmod(block, radix)
-        acc[:] = low if table is None else table[low]
-        top = int(block.max()) // size  # one pass per remaining digit of the largest value
-        while top:
-            np.divmod(high, radix, out=(high, low))
-            acc += low if table is None else table[low]
-            top //= size
+        top = int(high.max())  # one pass per digit of the largest value
+        acc[:] = 0
+        while True:
+            rest = high // radix
+            low = high - rest * radix
+            acc += low if table is None else table.take(low.view(np.int64))  # int64 gathers faster
+            high, top = rest, top // size
+            if not top:
+                break
     return out.reshape(np.shape(values))
 
 
@@ -109,7 +119,7 @@ def _phase_numerators(
     uint64 array: exact int64 numerators over the common denominator D, or
     float phases mod 1.0 where not exact."""
     table, size, modulus = _phase_table(f)
-    return _digit_additive(values, table, size) % modulus, modulus
+    return _remainder(_digit_additive(values, table, size), modulus), modulus
 
 
 def phase_array(f: StronglyQMultiplicative, values: np.ndarray) -> np.ndarray:
@@ -146,11 +156,13 @@ def equidist_counts(x: int, q: int, m: int) -> EquidistReport:
     """Stream primes, bin s_q(p^2) mod m, report the discrepancy."""
     if q < 2 or m < 2:
         raise ValueError(f"need q >= 2 and m >= 2, got ({q}, {m})")
+    if m > EQUIDIST_BIN_CAP:
+        raise CapacityError(f"m = {m} residue bins exceed the bin cap {EQUIDIST_BIN_CAP}")
     counts = np.zeros(m, dtype=np.int64)
     for arr in prime_arrays(x):
         p = arr.astype(np.uint64)
         s = digit_sums_array(p * p, q)
-        counts += np.bincount((s % np.uint64(m)).astype(np.int64), minlength=m)
+        counts += np.bincount(_remainder(s, np.uint64(m)).astype(np.int64), minlength=m)
     pi_x = int(counts.sum())
     expected = pi_x / m
     disc = float(np.max(np.abs(counts - expected)) / pi_x) if pi_x else 0.0
@@ -166,27 +178,38 @@ def equidist_counts(x: int, q: int, m: int) -> EquidistReport:
 
 
 def lambda_weighted_sum(x: int, f: StronglyQMultiplicative, theta: float) -> complex:
-    """sum_{n <= x} Lambda(n) f(n^2) e(theta n).
+    """sum_{n <= x} Lambda(n) f(n^2) e(theta n)."""
+    return _lambda_sums([x], f, theta)[0]
 
-    Only prime powers contribute; primes are handled in vectorized blocks of
-    KERNEL_BLOCK, the higher powers p**k (p <= sqrt x) one exponent k at a time.
+
+def _lambda_sums(xs: list[int], f: StronglyQMultiplicative, theta: float) -> list[complex]:
+    """lambda_weighted_sum at every x in xs, from one prime stream up to max(xs).
+
+    Only prime powers contribute.  Primes are handled in vectorized blocks of
+    KERNEL_BLOCK, each weighted once; an x whose cut falls inside a block
+    takes the sum of the block's first terms, so every x adds exactly what a
+    stream up to x alone would add, in the same order.  The higher powers
+    p**k (p <= sqrt x) follow per x, one exponent k at a time.
     """
-    if x > LAMBDA_SUM_CAP:
-        raise CapacityError(f"x = {x} exceeds the cap {LAMBDA_SUM_CAP}")
-    total = 0.0 + 0.0j
-    for arr in prime_arrays(x):
+    if max(xs) > LAMBDA_SUM_CAP:
+        raise CapacityError(f"x = {max(xs)} exceeds the cap {LAMBDA_SUM_CAP}")
+    totals = [0.0 + 0.0j] * len(xs)
+    for arr in prime_arrays(max(xs)):
         for start in range(0, len(arr), KERNEL_BLOCK):
             p = arr[start : start + KERNEL_BLOCK]
-            g = _twisted_square(f, p.astype(np.uint64), theta)
-            total += complex(np.sum(np.log(p.astype(np.float64)) * g))
-    for arr in prime_arrays(math.isqrt(x)):
-        p = arr.astype(np.uint64)
-        logp, pk = np.log(arr.astype(np.float64)), p * p
-        while p.size:
-            total += complex(np.sum(logp * _twisted_square(f, pk, theta)))
-            keep = pk <= x // p
-            p, logp, pk = p[keep], logp[keep], pk[keep] * p[keep]
-    return total
+            w = np.log(p.astype(np.float64)) * _twisted_square(f, p.astype(np.uint64), theta)
+            for i, k in enumerate(np.searchsorted(p, xs, side="right").tolist()):
+                if k:  # the first k terms are those up to xs[i]
+                    totals[i] += complex(np.sum(w[:k]))
+    for i, x in enumerate(xs):
+        for arr in prime_arrays(math.isqrt(x)):
+            p = arr.astype(np.uint64)
+            logp, pk = np.log(arr.astype(np.float64)), p * p
+            while p.size:
+                totals[i] += complex(np.sum(logp * _twisted_square(f, pk, theta)))
+                keep = pk <= x // p
+                p, logp, pk = p[keep], logp[keep], pk[keep] * p[keep]
+    return totals
 
 
 @dataclass(frozen=True)
@@ -204,7 +227,7 @@ def decay_fit(xs: list[int], f: StronglyQMultiplicative, theta: float) -> DecayF
         raise PreconditionError(f"need at least 3 x values, got {len(xs)}")
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise PreconditionError("xs must be strictly increasing")
-    values = [abs(lambda_weighted_sum(x, f, theta)) / x for x in xs]
+    values = [abs(s) / x for s, x in zip(_lambda_sums(xs, f, theta), xs)]
     slope = float(np.polyfit(np.log(np.array(xs, dtype=float)), np.log(values), 1)[0])
     return DecayFit(xs=tuple(xs), values=tuple(values), fitted_exponent=slope)
 
@@ -425,7 +448,8 @@ def vaughan_probe(
         del dense  # before the next block is built
         M *= q
 
-    lam_sum = lambda_weighted_sum(x, f, theta) - lambda_weighted_sum(x // q, f, theta)
+    to_x, to_x_over_q = _lambda_sums([x, x // q], f, theta)
+    lam_sum = to_x - to_x_over_q
     U = max(type1_max, type2_max)
     fitted_C = abs(lam_sum) / (U * math.log(x) ** 2) if U > 0 else math.inf
     return VaughanProbe(

@@ -45,9 +45,12 @@ def frac(x: np.ndarray) -> np.ndarray:
 
     For x >= 0 both are exact; for x < 0 both round the true x - floor(x)
     once (fmod by 1 is exact, adding 1 rounds), and both give +0.0 on
-    integers.
+    integers.  The floor is taken into a fresh array and the difference is
+    written over it, so one temporary is allocated, not two.
     """
-    return x - np.floor(x)
+    y = np.floor(x)
+    np.subtract(x, y, out=y)
+    return y
 
 
 @dataclass(frozen=True)

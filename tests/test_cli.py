@@ -234,14 +234,16 @@ REFUSED = [
     (["constants", "--q", "1000000"], cli.EXIT_CAPACITY, "grid",
      ("sqdigits.cli.make_digit_exponential",)),
     (["decay", "--q", str(10**29), "--xs", "10,20,30"], cli.EXIT_CAPACITY, "digit function cap",
-     ("sqdigits.cli.make_digit_exponential", "sqdigits.harness.lambda_weighted_sum")),
+     ("sqdigits.cli.make_digit_exponential", "sqdigits.harness._lambda_sums")),
     (["decay", "--xs", "1e7,1e8,2e8"], cli.EXIT_CAPACITY, "exceeds the cap",
-     ("sqdigits.harness.lambda_weighted_sum",)),
+     ("sqdigits.harness._lambda_sums",)),
     (["equidist", "--q", str(2**64)], cli.EXIT_CAPACITY, "uint64 digit kernel",
      ("sqdigits.harness.equidist_counts",)),
-    (["equidist", "--m", "10000000000"], cli.EXIT_CAPACITY, "table capacity",
+    (["equidist", "--m", str(2**16 + 1)], cli.EXIT_CAPACITY, "bin cap",
      ("sqdigits.harness.equidist_counts",)),
-    (["equidist", "--m", str(2**62)], cli.EXIT_CAPACITY, "table capacity",
+    (["equidist", "--m", "10000000000"], cli.EXIT_CAPACITY, "bin cap",
+     ("sqdigits.harness.equidist_counts",)),
+    (["equidist", "--m", str(2**62)], cli.EXIT_CAPACITY, "bin cap",
      ("sqdigits.harness.equidist_counts",)),
     (["typesums", "--q", "3", "--gamma", "1/3", "--mu", "30000000", "--nu", "1"],
      cli.EXIT_CAPACITY, "working range", ("numpy.random.default_rng",)),
@@ -346,7 +348,7 @@ COMMAND_FLAGS = {
     "constants": {"--q": (["2", "3", "5", "13"], edges("4097"))},
     "equidist": {
         "--q": (["2", "3", "10"], edges(str(2**64 - 1), str(2**64 + 1))),
-        "--m": (["2", "3", "5", "4096"], edges(str(2**24 + 1), "10000000000", str(2**62))),
+        "--m": (["2", "3", "5", "4096"], edges(str(2**16), str(2**16 + 1), "10000000000", str(2**62))),
         "--x": (["2", "10", "1e3", "1e5"], edges(str(10**9 + 1), "1e12")),
     },
     "expsum": {"--q": (["2"], edges()), "--family": (list(cli.EXPSUM_FAMILIES), edges("nope"))},

@@ -16,7 +16,7 @@ from sqdigits.qmult import (
     phase_of,
     thue_morse,
 )
-from sqdigits.sieve import chebyshev_psi, mangoldt
+from sqdigits.sieve import SEGMENT_SIZE, chebyshev_psi, mangoldt, prime_arrays
 
 TM = thue_morse()
 ONE = make_constant_one(2)
@@ -109,6 +109,9 @@ def test_equidist_partition_and_flags():
     assert not rep.coprime_to_q_minus_1  # gcd(2, 2) = 2
     with pytest.raises(ValueError):
         harness.equidist_counts(100, 1, 2)
+    assert len(harness.equidist_counts(100, 2, harness.EQUIDIST_BIN_CAP).counts) == harness.EQUIDIST_BIN_CAP
+    with pytest.raises(CapacityError):
+        harness.equidist_counts(100, 2, harness.EQUIDIST_BIN_CAP + 1)
 
 
 def test_equidist_reproducible():
@@ -145,6 +148,64 @@ def test_lambda_sum_reduces_theta_mod_1():
 def test_lambda_sum_cap():
     with pytest.raises(CapacityError):
         harness.lambda_weighted_sum(10**9, TM, 0.0)
+
+
+def _one_x_sum(x, f, theta):
+    """The Lambda sum over a prime stream up to x alone: the loop the shared
+    sweep of decay_fit and vaughan_probe must reproduce bit for bit."""
+    total = 0.0 + 0.0j
+    for arr in prime_arrays(x):
+        for start in range(0, len(arr), harness.KERNEL_BLOCK):
+            p = arr[start : start + harness.KERNEL_BLOCK]
+            g = harness._twisted_square(f, p.astype(np.uint64), theta)
+            total += complex(np.sum(np.log(p.astype(np.float64)) * g))
+    for arr in prime_arrays(math.isqrt(x)):
+        p = arr.astype(np.uint64)
+        logp, pk = np.log(arr.astype(np.float64)), p * p
+        while p.size:
+            total += complex(np.sum(logp * harness._twisted_square(f, pk, theta)))
+            keep = pk <= x // p
+            p, logp, pk = p[keep], logp[keep], pk[keep] * p[keep]
+    return total
+
+
+def test_decay_fit_is_one_sweep_of_one_x_sums(monkeypatch):
+    # a cut inside a KERNEL_BLOCK, a prime, and the first value of the second segment
+    xs = [500_000, 1_000_003, 3 + 2 * SEGMENT_SIZE]
+    theta = 0.3721
+    expected = [_one_x_sum(x, TM, theta) for x in xs]
+    assert [harness.lambda_weighted_sum(x, TM, theta) for x in xs] == expected
+    streams = []
+
+    def counted(x):
+        streams.append(x)
+        return prime_arrays(x)
+
+    monkeypatch.setattr(harness, "prime_arrays", counted)
+    fit = harness.decay_fit(xs, TM, theta)
+    assert fit.values == tuple(abs(s) / x for s, x in zip(expected, xs))
+    assert [x for x in streams if x > math.isqrt(xs[-1])] == [xs[-1]]  # one stream, plus the tails
+
+
+def test_vaughan_lambda_sum_is_two_call_difference():
+    x, q, theta = 10**5, 3, 0.3
+    vp = harness.vaughan_probe(x, q, TM, theta)
+    assert vp.lambda_sum == _one_x_sum(x, TM, theta) - _one_x_sum(x // q, TM, theta)
+
+
+def test_remainder_equals_numpy_mod():
+    rng = np.random.default_rng(10)
+    signed = np.concatenate([rng.integers(-(2**62), 2**62, size=1000), [-(2**63), 2**63 - 1, -1, 0]])
+    for d in (1, 2, 7, 2**56 + 3):
+        assert np.array_equal(harness._remainder(signed, d), signed % d)
+    unsigned = np.concatenate(
+        [rng.integers(0, 2**64 - 1, size=1000, dtype=np.uint64, endpoint=True),
+         np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)]
+    )
+    for d in (2, 5, 2**16, 2**63 + 1):
+        assert np.array_equal(harness._remainder(unsigned, np.uint64(d)), unsigned % np.uint64(d))
+    floats = np.concatenate([rng.normal(0, 1e6, size=1000), [-3.0, -0.0, 4.0, -1e-300, 2.0**60]])
+    assert harness._remainder(floats, 1.0).tobytes() == (floats % 1.0).tobytes()
 
 
 def test_decay_trend_small():

@@ -37,6 +37,30 @@ def test_primes_against_trial_division():
     assert list(sieve.primes_up_to(1000)) == _trial_division_primes(1000)
 
 
+def test_small_x_against_trial_division():
+    # x at and around the wheel primes 3..13, and across the wheel period
+    for x in list(range(65)) + [2 * sieve.WHEEL - 2, 2 * sieve.WHEEL + 2]:
+        assert list(sieve.primes_up_to(x)) == _trial_division_primes(x), x
+
+
+@pytest.mark.parametrize("segment_size", [1000, 1 << 16, sieve.SUB_BLOCK + 1, sieve.SEGMENT_SIZE])
+def test_segments_match_monolithic(segment_size):
+    # segment starts at many offsets mod the wheel period, segments across
+    # sub-block edges, and a last sub-block of one flag
+    x = 3 * 10**6
+    flags = np.ones(x + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(x) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    lo = 3
+    for seg in sieve.segments(x, segment_size):
+        assert (seg.lo, seg.hi) == (lo, min(lo + 2 * segment_size, x + 1))
+        assert np.array_equal(seg.flags, flags[seg.lo : seg.hi : 2])
+        lo = seg.hi if seg.hi % 2 else seg.hi + 1
+    assert lo > x
+
+
 def test_segmented_matches_monolithic_to_1e6():
     segmented = np.concatenate(list(sieve.prime_arrays(10**6)))
     flags = np.ones(10**6 + 1, dtype=bool)
