@@ -37,6 +37,7 @@ import numpy as np
 from . import fourier, harness, sieve, vaaler
 from . import expsums as xs
 from .errors import CapacityError, DomainError, PreconditionError
+from .expsums import _ratio
 from .qmult import MAX_DIGIT_Q, StronglyQMultiplicative, _circle_distance, is_proper, make_digit_exponential
 
 SCHEMA = "report-v2"
@@ -172,12 +173,8 @@ def _check_row(suite: str, label: str, exact: float, bound: float, kind: str, to
         passed = abs(exact - bound) <= tol
     else:
         passed = exact <= bound + tol
-    if bound != 0:
-        ratio = exact / bound
-    else:
-        ratio = 0.0 if exact == 0 else math.inf
     return {"suite": suite, "label": label, "exact": exact, "bound": bound, "kind": kind,
-            "ratio": ratio, "pass": passed}
+            "ratio": _ratio(exact, bound), "pass": passed}
 
 
 def _f_of(config: RunConfig) -> StronglyQMultiplicative:
@@ -460,7 +457,7 @@ def _expsum_rows(config: RunConfig) -> list[dict]:
             n = int(rng.integers(1, 200))
             z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             lhs, rhs = xs.vdc_variant_check(z, int(rng.integers(1, 8)), int(rng.integers(1, 8)))
-            emit(f"i={i}", lhs, rhs, lhs / rhs if rhs else math.inf, lhs <= rhs + 1e-9 * max(1.0, abs(rhs)))
+            emit(f"i={i}", lhs, rhs, _ratio(lhs, rhs), lhs <= rhs + 1e-9 * max(1.0, abs(rhs)))
     elif family == "second-derivative":
         for N in (64, 128, 256, 512, 1024, 2048, 4096):
             emit_report(f"N={N}", xs.second_derivative_report(1.0 / (10.0 * math.sqrt(2.0)), N))
@@ -483,7 +480,7 @@ def _expsum_rows(config: RunConfig) -> list[dict]:
                 s = xs.bilinear_quadratic_sum(a, b, xi4=xi)
                 exact = (abs(s) / (size * size)) ** 4
                 bound = xs.bound_m2n2(size, size, xi)
-            emit(f"M=N={size}", exact, bound, exact / bound, None)
+            emit(f"M=N={size}", exact, bound, _ratio(exact, bound), None)
     return out
 
 

@@ -69,12 +69,4 @@ def rep_window(a: int, kappa1: int, kappa2: int, q: int) -> int:
 
 def digit_sum(n: int, q: int) -> int:
     """Sum of the base-q digits of n."""
-    if q < 2:
-        raise ValueError(f"base must be >= 2, got {q}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    total = 0
-    while n:
-        n, b = divmod(n, q)
-        total += b
-    return total
+    return sum(to_digits(n, q))

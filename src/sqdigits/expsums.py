@@ -32,6 +32,14 @@ from .qmult import _circle_distance, frac
 RationalOrFloat = Fraction | int | float
 
 
+def _ratio(exact: float, bound: float) -> float:
+    """exact / bound, the slack of one report row; against a zero bound,
+    0.0 when exact is zero too and inf otherwise."""
+    if bound != 0:
+        return exact / bound
+    return 0.0 if exact == 0 else math.inf
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Evaluated inequality instance: exact left side vs bound right side."""
@@ -39,13 +47,10 @@ class BoundReport:
     exact: float
     bound: float
     explicit_constant: bool
-    label: str = ""
 
     @property
     def ratio(self) -> float:
-        if self.bound > 0:
-            return self.exact / self.bound
-        return 0.0 if self.exact == 0 else math.inf
+        return _ratio(self.exact, self.bound)
 
     @property
     def holds(self) -> bool:
@@ -65,7 +70,7 @@ def geometric_sum(L1: int, L2: int, xi: float) -> BoundReport:
     sin = abs(math.sin(math.pi * xi))
     length = float(L2 - L1)
     bound = length if sin == 0.0 else min(length, 1.0 / sin)
-    return BoundReport(float(exact), bound, explicit_constant=True, label="geometric")
+    return BoundReport(float(exact), bound, explicit_constant=True)
 
 
 def min_sum(N1: int, N2: int, M: float, xi: float, phi: float) -> BoundReport:
@@ -85,7 +90,7 @@ def min_sum(N1: int, N2: int, M: float, xi: float, phi: float) -> BoundReport:
         inv = np.where(sines > 0, 1.0 / sines, np.inf)
     exact = float(np.sum(np.minimum(M, inv)))
     bound = (3.0 + math.floor((N2 - N1) * dist)) * (3.0 * M + math.log(1.0 / dist) / dist)
-    return BoundReport(exact, bound, explicit_constant=False, label="min-sum")
+    return BoundReport(exact, bound, explicit_constant=False)
 
 
 def gauss_complete(a: int, b: int, m: int) -> BoundReport:
@@ -97,7 +102,7 @@ def gauss_complete(a: int, b: int, m: int) -> BoundReport:
     residues = (a_red * n * n + b_red * n) % m
     exact = abs(np.sum(_e_of_phases(residues / m)))
     bound = math.sqrt(2.0 * m * math.gcd(a, m))
-    return BoundReport(float(exact), bound, explicit_constant=True, label="gauss-complete")
+    return BoundReport(float(exact), bound, explicit_constant=True)
 
 
 def gauss_incomplete(a: int, b: int, m: int, n0: int, N: int) -> BoundReport:
@@ -117,7 +122,7 @@ def gauss_incomplete(a: int, b: int, m: int, n0: int, N: int) -> BoundReport:
     bound = (N / m + 1.0 + (2.0 / math.pi) * math.log(2.0 * m / math.pi)) * math.sqrt(
         2.0 * m * math.gcd(a, m)
     )
-    return BoundReport(float(exact), bound, explicit_constant=True, label="gauss-incomplete")
+    return BoundReport(float(exact), bound, explicit_constant=True)
 
 
 def weyl_quadratic(
@@ -152,7 +157,7 @@ def weyl_quadratic(
     exact = abs(np.sum(_e_of_phases(frac(phases))))
     log_m = math.log(m)
     bound = N / math.sqrt(m) + math.sqrt(N * log_m) + math.sqrt(m * log_m)
-    return BoundReport(float(exact), bound, explicit_constant=False, label="weyl-quadratic")
+    return BoundReport(float(exact), bound, explicit_constant=False)
 
 
 def sigma(exponent: float, n: int) -> float:
@@ -171,7 +176,7 @@ def gcd_average(m: int, A: int, gamma: float) -> BoundReport:
     gcds = np.gcd(np.arange(1, A + 1, dtype=np.int64), m).astype(np.float64)
     exact = float(np.sum(gcds**gamma)) / A
     bound = sigma(gamma - 1.0, m)
-    return BoundReport(exact, bound, explicit_constant=True, label="gcd-average")
+    return BoundReport(exact, bound, explicit_constant=True)
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -341,4 +346,4 @@ def second_derivative_report(theta: float, N: int) -> BoundReport:
     exact = abs(np.sum(_e_of_phases(frac(theta * n * n))))
     lam2 = 2.0 * theta
     bound = math.sqrt(lam2) * N + 1.0 / math.sqrt(lam2)
-    return BoundReport(float(exact), bound, explicit_constant=False, label="second-derivative")
+    return BoundReport(float(exact), bound, explicit_constant=False)

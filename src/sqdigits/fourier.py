@@ -9,9 +9,7 @@ q-multiplicative, ``F_lam`` factors into single-digit transforms,
 
     F_lam(t) = prod_{l=0}^{lam-1} F_1(t / q**l),
 
-which both the table builder and the continuous evaluator exploit; the
-O(q**(2*lam)) defining sum is kept as a cross-validation oracle for small
-windows.
+which both the table builder and the continuous evaluator exploit.
 
 Two spectral constants drive every estimate downstream:
 
@@ -82,50 +80,20 @@ def eval_F(f: StronglyQMultiplicative, lam: int, t) -> np.ndarray | complex:
     return out
 
 
-def eval_F_direct(f: StronglyQMultiplicative, lam: int, t) -> complex:
-    """The defining O(q**lam) sum; retained as an oracle for small windows."""
-    qlam = _table_points(f.q, lam)
-    u = np.arange(qlam)
-    fu = np.array([complex(v) for v in _digit_value_table(f, lam)])
-    return complex(np.sum(fu * np.exp(-2j * math.pi * float(t) * u / qlam)) / qlam)
-
-
-def _digit_value_table(f: StronglyQMultiplicative, lam: int) -> np.ndarray:
-    """f(u) for u < q**lam, built digit by digit."""
-    vals = np.ones(1, dtype=np.complex128)
-    digit_vals = np.array(f.digit_values, dtype=np.complex128)
-    for _ in range(lam):
-        vals = (vals[None, :] * digit_vals[:, None]).reshape(-1)
-        # index u = b * q**level + u_low, so the new digit is the slow axis
-    return vals
-
-
-@dataclass(frozen=True)
-class FourierTable:
-    """All values F_lam(h) for integer h in [0, q**lam)."""
-
-    f: StronglyQMultiplicative
-    lam: int
-    values: np.ndarray
-
-    def value_at(self, h: int) -> complex:
-        return complex(self.values[h % len(self.values)])
-
-
-def build_table(f: StronglyQMultiplicative, lam: int) -> FourierTable:
-    """Table of F_lam at the q**lam integer points, by the product recursion.
+def build_table(f: StronglyQMultiplicative, lam: int) -> np.ndarray:
+    """F_lam(h) for the integers h in [0, q**lam), by the product recursion.
 
     Level l multiplies the (periodically extended) level l-1 table by
     F_1(h / q**(l-1)); total work O(lam * q**lam).
     """
     if lam < 0:
         raise ValueError(f"window length must be >= 0, got {lam}")
-    qlam = _table_points(f.q, lam)
+    _table_points(f.q, lam)
     values = np.ones(1, dtype=np.complex128)
     for level in range(1, lam + 1):
         h = np.arange(f.q**level, dtype=np.float64)
         values = np.tile(values, f.q) * eval_F1(f, h / f.q ** (level - 1))
-    return FourierTable(f, lam, values)
+    return values
 
 
 # both tables of every level of the deepest sweep (q = 2, 2**lam = TABLE_CAPACITY)
@@ -250,7 +218,6 @@ class SpectralConstants:
     argmax_c: float
     argmax_eta: float
     grid_size: int
-    refine_tol: float
 
 
 def _golden_max(fun, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -327,9 +294,7 @@ def compute_constants(f: StronglyQMultiplicative) -> SpectralConstants:
 
     t_eta, psi_max = _grid_refine_max(lambda ts: psi_q(f, ts), 0.0, 1.0, n)
     eta = math.log(psi_max) / math.log(q)
-    return SpectralConstants(
-        c=c, eta=eta, argmax_c=t_c, argmax_eta=t_eta, grid_size=n, refine_tol=REFINE_TOL
-    )
+    return SpectralConstants(c=c, eta=eta, argmax_c=t_c, argmax_eta=t_eta, grid_size=n)
 
 
 def c_lower_bound_digit_sum(q: int, gamma: Fraction | float) -> float:

@@ -1,12 +1,12 @@
-"""Segmented prime generation and von Mangoldt weights at desk scale.
+"""Segmented prime generation at desk scale.
 
 Primes are produced by an odd-only segmented sieve (default segment
 2**22 odd flags) so that harness runs up to 10**8 finish in seconds.  Each
 segment starts from a pattern pre-sieved by the wheel primes 3, 5, 7, 11
 and 13, and the remaining base primes are struck one cache-sized sub-block
 at a time; segments and flags do not depend on either.  The von Mangoldt
-function comes either as a point query (k-th root extraction) or as an
-in-memory table filled prime by prime.
+weights log p of the prime powers are applied by the harness, on these
+prime arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 from .errors import CapacityError
 
 PRIME_CAP = 10**9
-TABLE_CAP = 10**8
 SEGMENT_SIZE = 1 << 22  # odd flags per segment
 SUB_BLOCK = 1 << 20  # odd flags struck at a time: 1 MiB, so that they stay in L2
 WHEEL_PRIMES = (3, 5, 7, 11, 13)
@@ -106,79 +105,3 @@ def prime_arrays(x: int) -> Iterator[np.ndarray]:
         arr = seg.primes()
         if len(arr):
             yield arr
-
-
-def primes_up_to(x: int) -> Iterator[int]:
-    """All primes <= x, ascending."""
-    for arr in prime_arrays(x):
-        yield from (int(p) for p in arr)
-
-
-def prime_count(x: int) -> int:
-    """pi(x)."""
-    return sum(len(arr) for arr in prime_arrays(x))
-
-
-def _int_nth_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) in exact integer arithmetic."""
-    if k == 1:
-        return n
-    if k == 2:
-        return math.isqrt(n)
-    r = int(round(n ** (1.0 / k)))
-    while r > 1 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def mangoldt(n: int) -> float:
-    """log p if n = p**k for a prime p, else 0."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n == 1:
-        return 0.0
-    for k in range(1, n.bit_length()):
-        r = _int_nth_root(n, k)
-        if r**k == n and _is_prime(r):
-            return math.log(r)
-    return 0.0
-
-
-def mangoldt_table(x: int) -> np.ndarray:
-    """Array L with L[n] = Lambda(n) for n <= x.
-
-    Primes get log p in one vectorized write; the O(sqrt x) higher prime
-    powers are filled scalar.
-    """
-    if x > TABLE_CAP:
-        raise CapacityError(f"x = {x} exceeds the table cap {TABLE_CAP}")
-    table = np.zeros(x + 1, dtype=np.float64)
-    for arr in prime_arrays(x):
-        table[arr] = np.log(arr.astype(np.float64))
-    for p in primes_up_to(math.isqrt(x)):
-        logp = math.log(p)
-        pk = p * p
-        while pk <= x:
-            table[pk] = logp
-            pk *= p
-    return table
-
-
-def chebyshev_psi(x: int) -> float:
-    """psi(x) = sum_{n <= x} Lambda(n)."""
-    return float(np.sum(mangoldt_table(x)))

@@ -292,10 +292,9 @@ def truncated_f_H(
     qlam = q**lam
     H = K * qlam - 1
     kernel = VaalerKernel(1.0 / qlam, H, shifted=True)
-    table = build_table(f, lam)
     hs = np.arange(-H, H + 1)
     coeffs = coeff_chi_array(kernel, hs)
-    f_vals = table.values[np.mod(hs, qlam)]
+    f_vals = build_table(f, lam)[np.mod(hs, qlam)]
     phases = np.exp(2j * np.pi * hs * (a % q**kappa2) / q**kappa2)
     approx = complex(qlam * np.sum(coeffs * f_vals * phases))
 

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import math
+import re
+import shlex
 import time
 from datetime import timedelta
 from pathlib import Path
@@ -16,15 +18,29 @@ from hypothesis import strategies as st
 
 from sqdigits import cli, fourier, harness
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parents[1] / "src" / "sqdigits" / "report_schema.json").read_text()
-)
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA = json.loads((ROOT / "src" / "sqdigits" / "report_schema.json").read_text())
+
+
+def _readme_examples() -> list[list[str]]:
+    """The argv of every ``sqdigits ...`` line in README's sh blocks, comments cut."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    lines = (line.split("#")[0] for block in blocks for line in block.splitlines())
+    return [shlex.split(line)[1:] for line in lines if line.startswith("sqdigits ")]
 
 
 def run_cli(args, tmp_path, name="report.json"):
     out = tmp_path / name
     code = cli.main(args + ["--output", str(out)])
     return code, out
+
+
+def test_readme_examples_exit_zero(tmp_path):
+    examples = _readme_examples()
+    assert {argv[0] for argv in examples} == {"verify", "constants", "equidist", "expsum", "typesums", "decay"}
+    for i, argv in enumerate(examples):
+        code, _ = run_cli(argv, tmp_path, f"{i}.out")
+        assert code == 0, argv
 
 
 def test_equidist_report(tmp_path):

@@ -10,6 +10,16 @@ from sqdigits import expsums as xs
 from sqdigits.errors import DomainError
 
 
+def test_ratio_rule_shared_by_reports_and_rows():
+    from sqdigits.cli import _check_row
+
+    # (exact, bound, ratio): a zero bound gives 0.0 or inf, any other bound divides
+    cases = ((3.0, 4.0, 0.75), (0.0, 0.0, 0.0), (-1e-9, 0.0, math.inf), (2.0, -4.0, -0.5))
+    for exact, bound, ratio in cases:
+        assert xs.BoundReport(exact, bound, explicit_constant=True).ratio == ratio
+        assert _check_row("s", "l", exact, bound, "upper", 0.0)["ratio"] == ratio
+
+
 def test_geometric_examples():
     r = xs.geometric_sum(0, 4, 0.5)
     assert r.exact < 1e-12 and r.bound == 1.0 and r.explicit_constant

@@ -1,9 +1,11 @@
-"""Segmented sieve, prime counts, and von Mangoldt weights."""
+"""Segmented sieve and prime counts, against trial division and the
+von Mangoldt oracle."""
 
 import math
 
 import numpy as np
 import pytest
+from oracles import mangoldt
 
 from sqdigits import sieve
 from sqdigits.errors import CapacityError
@@ -26,21 +28,37 @@ def _trial_division_primes(n):
     return [p for p in range(2, n + 1) if all(p % d for d in range(2, int(math.isqrt(p)) + 1))]
 
 
+def _primes(x):
+    """All primes <= x from the sieve's arrays, as a list of ints."""
+    return [int(p) for arr in sieve.prime_arrays(x) for p in arr]
+
+
+def _psi(x):
+    """Chebyshev psi(x) from the sieve's primes: log p once per power p**k <= x."""
+    total = 0.0
+    for p in _primes(x):
+        pk = p
+        while pk <= x:
+            total += math.log(p)
+            pk *= p
+    return total
+
+
 def test_primes_small():
-    assert list(sieve.primes_up_to(10)) == [2, 3, 5, 7]
-    assert list(sieve.primes_up_to(1)) == []
-    assert list(sieve.primes_up_to(2)) == [2]
-    assert list(sieve.primes_up_to(3)) == [2, 3]
+    assert _primes(10) == [2, 3, 5, 7]
+    assert _primes(1) == []
+    assert _primes(2) == [2]
+    assert _primes(3) == [2, 3]
 
 
 def test_primes_against_trial_division():
-    assert list(sieve.primes_up_to(1000)) == _trial_division_primes(1000)
+    assert _primes(1000) == _trial_division_primes(1000)
 
 
 def test_small_x_against_trial_division():
     # x at and around the wheel primes 3..13, and across the wheel period
     for x in list(range(65)) + [2 * sieve.WHEEL - 2, 2 * sieve.WHEEL + 2]:
-        assert list(sieve.primes_up_to(x)) == _trial_division_primes(x), x
+        assert _primes(x) == _trial_division_primes(x), x
 
 
 @pytest.mark.parametrize("segment_size", [1000, 1 << 16, sieve.SUB_BLOCK + 1, sieve.SEGMENT_SIZE])
@@ -86,46 +104,42 @@ def test_segment_flags_spot_checks():
 
 @pytest.mark.parametrize("x,count", sorted(PI_TABLE.items()))
 def test_prime_counts(x, count):
-    assert sieve.prime_count(x) == count
+    assert sum(len(arr) for arr in sieve.prime_arrays(x)) == count
 
 
 def test_prime_cap():
     with pytest.raises(CapacityError):
-        list(sieve.primes_up_to(2 * 10**9))
+        list(sieve.prime_arrays(2 * 10**9))
 
 
 def test_mangoldt_point_values():
-    assert sieve.mangoldt(1) == 0.0
-    assert sieve.mangoldt(2) == math.log(2)
-    assert sieve.mangoldt(8) == math.log(2)
-    assert sieve.mangoldt(9) == math.log(3)
-    assert sieve.mangoldt(12) == 0.0
-    assert sieve.mangoldt(7**5) == math.log(7)
-    assert sieve.mangoldt(6) == 0.0
+    assert mangoldt(1) == 0.0
+    assert mangoldt(2) == math.log(2)
+    assert mangoldt(8) == math.log(2)
+    assert mangoldt(9) == math.log(3)
+    assert mangoldt(12) == 0.0
+    assert mangoldt(7**5) == math.log(7)
+    assert mangoldt(6) == 0.0
 
 
-def test_mangoldt_table_matches_points():
-    table = sieve.mangoldt_table(10**4)
-    assert table[1] == 0.0
-    rng = np.random.default_rng(4)
-    for n in rng.integers(1, 10**4 + 1, size=10**4):
-        assert table[int(n)] == pytest.approx(sieve.mangoldt(int(n)), abs=1e-12)
-
-
-def test_mangoldt_table_nonzero_set_small():
-    table = sieve.mangoldt_table(10)
-    assert set(np.flatnonzero(table)) == {2, 3, 4, 5, 7, 8, 9}
+def test_prime_powers_match_mangoldt_points():
+    # Lambda(n) > 0 exactly at the powers of the sieve's primes
+    x = 10**4
+    powers = {}
+    for p in _primes(x):
+        pk = p
+        while pk <= x:
+            powers[pk] = math.log(p)
+            pk *= p
+    assert {n for n in powers if n <= 10} == {2, 3, 4, 5, 7, 8, 9}
+    for n in range(1, x + 1):
+        assert mangoldt(n) == powers.get(n, 0.0), n
 
 
 def test_chebyshev_psi():
     # direct-summation oracle over point queries
-    direct = sum(sieve.mangoldt(n) for n in range(1, 10**4 + 1))
+    direct = sum(mangoldt(n) for n in range(1, 10**4 + 1))
     assert abs(direct - 10013.39669) < 5e-4
-    assert sieve.chebyshev_psi(10**4) == pytest.approx(direct, abs=1e-6)
-    psi6 = sieve.chebyshev_psi(10**6)
+    assert _psi(10**4) == pytest.approx(direct, abs=1e-6)
+    psi6 = _psi(10**6)
     assert 0.99 * 10**6 <= psi6 <= 1.01 * 10**6
-
-
-def test_table_cap():
-    with pytest.raises(CapacityError):
-        sieve.mangoldt_table(2 * 10**8)
