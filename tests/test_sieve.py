@@ -33,15 +33,20 @@ def _primes(x):
     return [int(p) for arr in sieve.prime_arrays(x) for p in arr]
 
 
-def _psi(x):
-    """Chebyshev psi(x) from the sieve's primes: log p once per power p**k <= x."""
-    total = 0.0
+def _mangoldt_table(x):
+    """Lambda(n) for n <= x from the sieve's primes: log p at each power p**k."""
+    table = np.zeros(x + 1)
     for p in _primes(x):
         pk = p
         while pk <= x:
-            total += math.log(p)
+            table[pk] = math.log(p)
             pk *= p
-    return total
+    return table
+
+
+def _psi(x):
+    """Chebyshev psi(x) from the sieve's primes: log p once per power p**k <= x."""
+    return float(_mangoldt_table(x).sum())
 
 
 def test_primes_small():
@@ -122,18 +127,18 @@ def test_mangoldt_point_values():
     assert mangoldt(6) == 0.0
 
 
-def test_prime_powers_match_mangoldt_points():
+def test_mangoldt_table_matches_points():
     # Lambda(n) > 0 exactly at the powers of the sieve's primes
     x = 10**4
-    powers = {}
-    for p in _primes(x):
-        pk = p
-        while pk <= x:
-            powers[pk] = math.log(p)
-            pk *= p
-    assert {n for n in powers if n <= 10} == {2, 3, 4, 5, 7, 8, 9}
+    table = _mangoldt_table(x)
+    assert table[1] == 0.0
     for n in range(1, x + 1):
-        assert mangoldt(n) == powers.get(n, 0.0), n
+        assert table[n] == mangoldt(n), n
+
+
+def test_mangoldt_table_nonzero_set_small():
+    table = _mangoldt_table(10)
+    assert set(np.flatnonzero(table)) == {2, 3, 4, 5, 7, 8, 9}
 
 
 def test_chebyshev_psi():
