@@ -8,8 +8,11 @@ The centerpiece sums are
 
 together with the residue counts of s_q(p^2) mod m over primes.  All big
 sweeps run on one blocked digit-additive kernel (uint64, k digits per table
-lookup, rational phases exact until the final exp) with numpy's pairwise
-reduction; identical inputs therefore give bitwise identical reports.  Every
+lookup, rational phases as exact numerators mod D) with numpy's pairwise
+reduction; identical inputs therefore give bitwise identical reports.  A
+numerator k becomes e(k/D) by one division and exp, or, with no twist and
+D <= DIGIT_TABLE_CAP, by a lookup in a table of the D roots of unity built
+from the same k/D, so both give the same bits.  Every
 bilinear sum reads one primitive, _row_block: a zero-padded (m, n) block of
 g(mn) = f((mn)^2) e(theta mn), built with one kernel call per KERNEL_BLOCK
 pairs rather than one per row.  The q-adic rectangle of type_sums is one such
@@ -129,12 +132,28 @@ def phase_array(f: StronglyQMultiplicative, values: np.ndarray) -> np.ndarray:
     return nums / modulus
 
 
+@lru_cache(maxsize=64)
+def _root_table(denom: int) -> np.ndarray:
+    """e(k/denom) for k < denom, each entry the exp of the same float k/denom
+    that phase_array gives numerator k, so a gather equals the exp bitwise."""
+    roots = np.exp(2j * np.pi * (np.arange(denom) / denom))
+    roots.flags.writeable = False
+    return roots
+
+
 def _twisted_square(f: StronglyQMultiplicative, n: np.ndarray, theta: float) -> np.ndarray:
     """f(n^2) e(theta n) at a uint64 array n; theta is reduced mod 1 first
-    (exactly), so that theta * n keeps the digits of the phase."""
+    (exactly), so that theta * n keeps the digits of the phase.  Untwisted
+    exact phases over a denominator D <= DIGIT_TABLE_CAP are gathered from
+    the D roots of unity instead of an exp per element."""
     theta = math.fmod(theta, 1.0)
-    phases = phase_array(f, n * n)
-    if theta != 0.0:
+    if theta == 0.0:
+        nums, modulus = _phase_numerators(f, n * n)
+        if isinstance(modulus, int) and modulus <= DIGIT_TABLE_CAP:
+            return _root_table(modulus).take(nums)
+        phases = nums / modulus
+    else:  # through phase_array, which the benchmark's per-layer trace times
+        phases = phase_array(f, n * n)
         phases += frac(theta * n.astype(np.float64))
     return np.exp(2j * np.pi * phases)
 

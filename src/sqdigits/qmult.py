@@ -6,7 +6,10 @@ We store ``f(b) = e(phases[b])`` with ``phases[b]`` in ``[0, 1)`` and
 ``phases[0] = 0``.  When all phases are rational the phase of ``f(n)`` is
 accumulated exactly (integer numerators over a common denominator, reduced
 mod 1) and converted to a complex number only at the very end; this keeps
-every identity test free of float drift.
+every identity test free of float drift.  The vectorized sums of ``harness``
+convert a numerator ``k`` once too: to ``e(k/D)`` by one ``exp``, or, with
+no twist and a small ``D``, by a lookup in the table of the ``D`` roots of
+unity.
 
 The classical family is the digit exponential ``e(gamma * s_q(n))`` whose
 phases are ``gamma * b mod 1``.  Such an ``f`` is degenerate ("improper")

@@ -323,6 +323,26 @@ def test_typesums_builds_its_rectangle_once(tmp_path, monkeypatch):
     assert len(calls) == -(-rectangle // harness.KERNEL_BLOCK) == 16
 
 
+def test_untwisted_typesums_gathers_its_rectangle(tmp_path, monkeypatch):
+    # at theta 0 each of the 16 kernel blocks of the rectangle is gathered from
+    # the D = 2 roots of unity; a twisted run never reads the root table, so
+    # it keeps the exp per element
+    tables = []
+    root_table = harness._root_table
+
+    def counting(denom):
+        tables.append(denom)
+        return root_table(denom)
+
+    monkeypatch.setattr(harness, "_root_table", counting)
+    argv = ["typesums", "--q", "2", "--gamma", "1/2", "--mu", "8", "--nu", "14"]
+    assert run_cli(argv, tmp_path)[0] == cli.EXIT_OK
+    assert tables == [2] * 16
+    tables.clear()
+    assert run_cli(argv + ["--theta", "0.37"], tmp_path)[0] == cli.EXIT_OK
+    assert tables == []
+
+
 def test_improper_gamma_verify_is_usage_error():
     assert cli.main(["verify", "--q", "3", "--gamma", "1/2"]) == cli.EXIT_USAGE
 

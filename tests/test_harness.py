@@ -12,6 +12,7 @@ from sqdigits.errors import CapacityError, PreconditionError
 from sqdigits.qmult import (
     StronglyQMultiplicative,
     evaluate,
+    frac,
     make_constant_one,
     make_digit_exponential,
     phase_of,
@@ -26,6 +27,17 @@ ONE = make_constant_one(2)
 def _psi(x: int) -> float:
     """Chebyshev psi(x) by summing the von Mangoldt oracle over n <= x."""
     return sum(mangoldt(n) for n in range(1, x + 1))
+
+
+def _g(f: StronglyQMultiplicative, n: np.ndarray, theta: float) -> np.ndarray:
+    """f(n^2) e(theta n) written out as the exp of phase_array plus the reduced
+    twist: the reference for the row blocks and Lambda sums, whichever way
+    _twisted_square evaluates them."""
+    phases = harness.phase_array(f, n * n)
+    theta = math.fmod(theta, 1.0)
+    if theta != 0.0:
+        phases += frac(theta * n.astype(np.float64))
+    return np.exp(2j * np.pi * phases)
 
 
 def _kernel_inputs(q: int, rng: np.random.Generator, size: int = 300) -> np.ndarray:
@@ -99,6 +111,29 @@ def test_phase_array_matches_evaluate():
             assert min(d, 1 - d) < 1e-12
 
 
+def test_twisted_square_gather_is_the_exp_bitwise():
+    # untwisted exact phases over D <= DIGIT_TABLE_CAP come from the table of
+    # D roots of unity; every entry must be the exp of the same float num/D
+    fs = [
+        make_digit_exponential(2, Fraction(1, 2)),
+        make_digit_exponential(3, Fraction(1, 3)),
+        make_digit_exponential(5, Fraction(2, 7)),
+        make_digit_exponential(10, Fraction(3, 11)),
+        make_constant_one(3),
+        make_digit_exponential(2, Fraction(12345, 65536)),  # the largest gathered D
+        make_digit_exponential(3, Fraction(1, 65537)),  # D above the cap: exp
+        make_digit_exponential(3, 0.3721),  # float phases: exp
+    ]
+    assert [harness._phase_table(f)[2] for f in fs] == [2, 3, 7, 11, 1, 65536, 65537, 1.0]
+    rng = np.random.default_rng(12)
+    for f in fs:
+        for length in (0, 1, 7, harness.KERNEL_BLOCK + 3):
+            n = rng.integers(0, 2**32, size=length, dtype=np.uint64)
+            expected = np.exp(2j * np.pi * harness.phase_array(f, n * n)).tobytes()
+            for theta in (0.0, -0.0, 1.0, -3.0):  # all reduce to a zero twist
+                assert harness._twisted_square(f, n, theta).tobytes() == expected
+
+
 def test_equidist_hand_case():
     rep = harness.equidist_counts(10, 2, 2)
     # p = 2,3,5,7; s_2(p^2) = 1,2,3,3 -> one even, three odd
@@ -163,13 +198,13 @@ def _one_x_sum(x, f, theta):
     for arr in prime_arrays(x):
         for start in range(0, len(arr), harness.KERNEL_BLOCK):
             p = arr[start : start + harness.KERNEL_BLOCK]
-            g = harness._twisted_square(f, p.astype(np.uint64), theta)
+            g = _g(f, p.astype(np.uint64), theta)
             total += complex(np.sum(np.log(p.astype(np.float64)) * g))
     for arr in prime_arrays(math.isqrt(x)):
         p = arr.astype(np.uint64)
         logp, pk = np.log(arr.astype(np.float64)), p * p
         while p.size:
-            total += complex(np.sum(logp * harness._twisted_square(f, pk, theta)))
+            total += complex(np.sum(logp * _g(f, pk, theta)))
             keep = pk <= x // p
             p, logp, pk = p[keep], logp[keep], pk[keep] * p[keep]
     return total
@@ -380,7 +415,7 @@ def _vaughan_block_per_row(x, q, M, f, theta):
         n_lo, n_hi = x // (q * m), x // m  # x/(qm) < n <= x/m
         if n_hi > n_lo:
             n = np.arange(n_lo + 1, n_hi + 1, dtype=np.uint64)
-            rows.append((n_lo + 1, harness._twisted_square(f, np.uint64(m) * n, theta)))
+            rows.append((n_lo + 1, _g(f, np.uint64(m) * n, theta)))
     n_min = min(start for start, _ in rows)
     n_max = max(start + len(g) for start, g in rows)
     dense = np.zeros((len(rows), n_max - n_min), dtype=np.complex128)
@@ -442,7 +477,7 @@ def test_rectangle_matches_per_row_reference(monkeypatch):
     for q, mu, nu, f, theta in cases:
         m = np.arange(q ** (mu - 1), q**mu, dtype=np.uint64)
         n = np.arange(q ** (nu - 1), q**nu, dtype=np.uint64)
-        reference = np.array([harness._twisted_square(f, row_m * n, theta) for row_m in m])
+        reference = np.array([_g(f, row_m * n, theta) for row_m in m])
         rows = (m.astype(np.int64), np.full(m.size, q ** (nu - 1)), np.full(m.size, n.size))
         dense, calls = _row_block_in_7_pair_calls(monkeypatch, rows, f, theta)
         assert calls == [min(7, reference.size - start) for start in range(0, reference.size, 7)]
