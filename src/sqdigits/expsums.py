@@ -57,16 +57,12 @@ class BoundReport:
         return self.ratio <= 1.0 + 1e-9
 
 
-def _e_of_phases(phases: np.ndarray) -> np.ndarray:
-    return np.exp(2j * np.pi * phases)
-
-
 def geometric_sum(L1: int, L2: int, xi: float) -> BoundReport:
     """|sum_{L1 < l <= L2} e(l xi)| against min(L2-L1, 1/|sin pi xi|)."""
     if L1 > L2:
         raise ValueError(f"need L1 <= L2, got ({L1}, {L2})")
     ls = np.arange(L1 + 1, L2 + 1, dtype=np.float64)
-    exact = abs(np.sum(_e_of_phases(frac(ls * xi))))
+    exact = abs(np.sum(np.exp(2j * np.pi * frac(ls * xi))))
     sin = abs(math.sin(math.pi * xi))
     length = float(L2 - L1)
     bound = length if sin == 0.0 else min(length, 1.0 / sin)
@@ -100,7 +96,7 @@ def gauss_complete(a: int, b: int, m: int) -> BoundReport:
     a_red, b_red = a % m, b % m
     n = np.arange(m, dtype=np.int64)
     residues = (a_red * n * n + b_red * n) % m
-    exact = abs(np.sum(_e_of_phases(residues / m)))
+    exact = abs(np.sum(np.exp(2j * np.pi * (residues / m))))
     bound = math.sqrt(2.0 * m * math.gcd(a, m))
     return BoundReport(float(exact), bound, explicit_constant=True)
 
@@ -118,7 +114,7 @@ def gauss_incomplete(a: int, b: int, m: int, n0: int, N: int) -> BoundReport:
     residues = np.array(
         [(a * k * k + b * k) % m for k in range(n0 + 1, n0 + N + 1)], dtype=np.float64
     )
-    exact = abs(np.sum(_e_of_phases(residues / m))) if N else 0.0
+    exact = abs(np.sum(np.exp(2j * np.pi * (residues / m)))) if N else 0.0
     bound = (N / m + 1.0 + (2.0 / math.pi) * math.log(2.0 * m / math.pi)) * math.sqrt(
         2.0 * m * math.gcd(a, m)
     )
@@ -154,7 +150,7 @@ def weyl_quadratic(
     else:
         n = np.arange(n0 + 1, n0 + N + 1, dtype=np.float64)
         phases = alpha * n * n + beta * n + gamma
-    exact = abs(np.sum(_e_of_phases(frac(phases))))
+    exact = abs(np.sum(np.exp(2j * np.pi * frac(phases))))
     log_m = math.log(m)
     bound = N / math.sqrt(m) + math.sqrt(N * log_m) + math.sqrt(m * log_m)
     return BoundReport(float(exact), bound, explicit_constant=False)
@@ -293,7 +289,7 @@ def bilinear_quadratic_sum(
         else:
             phases += frac(xi * mono.astype(np.float64))
     weights = np.outer(a, b)
-    return complex(np.sum(weights * _e_of_phases(frac(phases))))
+    return complex(np.sum(weights * np.exp(2j * np.pi * frac(phases))))
 
 
 def bound_mn2(M: int, N: int, xi3: RationalOrFloat) -> float:
@@ -343,7 +339,7 @@ def second_derivative_report(theta: float, N: int) -> BoundReport:
     if theta <= 0:
         raise DomainError(f"theta must be > 0, got {theta}")
     n = np.arange(1, N + 1, dtype=np.float64)
-    exact = abs(np.sum(_e_of_phases(frac(theta * n * n))))
+    exact = abs(np.sum(np.exp(2j * np.pi * frac(theta * n * n))))
     lam2 = 2.0 * theta
     bound = math.sqrt(lam2) * N + 1.0 / math.sqrt(lam2)
     return BoundReport(float(exact), bound, explicit_constant=False)

@@ -113,9 +113,7 @@ def _digit_exponential_gamma(f: StronglyQMultiplicative) -> float | None:
     """gamma when f is e(gamma * s_q) with exact rational phases, else None."""
     if not f.exact:
         return None
-    gamma = f.phases[1] if f.q > 1 else None
-    if gamma is None:
-        return None
+    gamma = f.phases[1]
     for b in range(f.q):
         if f.phases[b] != (gamma * b) % 1:
             return None

@@ -157,18 +157,13 @@ def phase_of(f: StronglyQMultiplicative, n: int) -> Phase:
     """Accumulated phase of f(n) reduced mod 1 (exact for rational phases)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if f.exact:
-        denom, nums = _cached_numerators(f)
-        total = 0
-        while n:
-            n, b = divmod(n, f.q)
-            total += nums[b]
-        return Fraction(total % denom, denom)
-    total = 0.0
+    denom, weights = _cached_numerators(f) if f.exact else (1.0, f.phases)
+    total = 0 * denom  # 0.0 for float phases, so a Fraction among them adds as a float
     while n:
         n, b = divmod(n, f.q)
-        total += float(f.phases[b])
-    return total % 1.0
+        total += weights[b]
+    total %= denom
+    return Fraction(total, denom) if f.exact else total
 
 
 def evaluate(f: StronglyQMultiplicative, n: int) -> complex:

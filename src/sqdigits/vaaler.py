@@ -7,7 +7,8 @@ For each degree ``H`` there is a trigonometric-polynomial pair
 
     |chi(x) - chi_H(x)| <= B_H(x)      for all real x,
 
-whose Fourier coefficients are in closed form.  Everything in this module
+whose Fourier coefficients are in closed form, each written once in numpy
+for an int or an int array of frequencies h.  Everything in this module
 is computed in coefficient space -- convolutions of trigonometric
 polynomials are finite sums of coefficient products -- so the lemma
 constants (1/(H+1), 3/(H+1), 1/U**2, ...) are checkable to machine
@@ -20,7 +21,6 @@ of f costs at most a Fejer-kernel term that is uniformly <= 1.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,10 +30,6 @@ import numpy as np
 from .errors import PreconditionError
 from .fourier import build_table
 from .qmult import StronglyQMultiplicative, _circle_distance, eval_truncated, frac
-
-CHI_INDICATOR = "chi-indicator"
-CHI_POLY = "chi-poly"
-B_POLY = "B-poly"
 
 
 @dataclass(frozen=True)
@@ -56,95 +52,57 @@ class VaalerKernel:
             raise ValueError(f"H must be >= 1, got {self.H}")
 
 
-def _coeff_chi_star_plain(alpha: float, h: int) -> float:
-    """Fourier coefficient of the sharp indicator chi*_alpha."""
-    if h == 0:
-        return alpha
-    return math.sin(math.pi * h * alpha) / (math.pi * h)
+def _coeff_chi_star(alpha: float, hs: int | np.ndarray) -> np.ndarray:
+    """Fourier coefficients of the sharp indicator chi*_alpha: alpha at h = 0,
+    sin(pi h alpha)/(pi h) elsewhere.  This is also chi* conv (chi* e^h)(0)."""
+    h = np.asarray(hs, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at h = 0, replaced
+        return np.where(h == 0, alpha, np.sin(np.pi * h * alpha) / (np.pi * h))
 
 
-def _vaaler_taper(H: int, h: int) -> float:
-    """The degree-H multiplier turning chi*-coefficients into chi*_H ones."""
-    j = abs(h) / (H + 1)
-    return math.pi * j * (1.0 - j) / math.tan(math.pi * j) + j
-
-
-def coeff_chi(kernel: VaalerKernel, h: int) -> complex:
-    """Fourier coefficient of the chi polynomial; 0 beyond degree H."""
-    if abs(h) > kernel.H:
-        return 0.0 + 0.0j
-    if h == 0:
-        value = complex(kernel.alpha)
-    else:
-        value = complex(_coeff_chi_star_plain(kernel.alpha, h) * _vaaler_taper(kernel.H, h))
+def _degree_H(kernel: VaalerKernel, h: np.ndarray, coeffs: np.ndarray) -> complex | np.ndarray:
+    """coeffs times e(-h alpha/2) when shifted, 0 beyond degree H; a scalar h
+    gives a Python complex."""
     if kernel.shifted:
-        value *= cmath.exp(-1j * math.pi * h * kernel.alpha)
-    return value
+        coeffs = coeffs * np.exp(-1j * np.pi * h * kernel.alpha)
+    coeffs = np.where(np.abs(h) <= kernel.H, coeffs, 0j)
+    return complex(coeffs) if coeffs.ndim == 0 else coeffs
 
 
-def coeff_B(kernel: VaalerKernel, h: int) -> complex:
-    """Fourier coefficient of the majorant polynomial B; 0 beyond degree H."""
-    if abs(h) > kernel.H:
-        return 0.0 + 0.0j
-    Hp1 = kernel.H + 1
-    value = complex((1.0 - abs(h) / Hp1) / Hp1 * math.cos(math.pi * h * kernel.alpha))
-    if kernel.shifted:
-        value *= cmath.exp(-1j * math.pi * h * kernel.alpha)
-    return value
-
-
-def coeff_chi_array(kernel: VaalerKernel, hs: np.ndarray) -> np.ndarray:
-    """Vectorized coeff_chi over an integer array."""
-    hs = np.asarray(hs, dtype=np.int64)
-    out = np.zeros(hs.shape, dtype=np.complex128)
-    inside = np.abs(hs) <= kernel.H
-    h = hs[inside].astype(np.float64)
+def coeff_chi(kernel: VaalerKernel, hs: int | np.ndarray) -> complex | np.ndarray:
+    """Fourier coefficients of the chi polynomial at an int or int array h:
+    chi*-hat(h) times the Vaaler taper, 0 beyond degree H."""
+    h = np.asarray(hs, dtype=np.float64)
     j = np.abs(h) / (kernel.H + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        base = np.sin(np.pi * h * kernel.alpha) / (np.pi * h)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at h = 0, replaced
         taper = np.pi * j * (1.0 - j) / np.tan(np.pi * j) + j
-        vals = base * taper
-    vals = np.where(h == 0, kernel.alpha, vals)
-    if kernel.shifted:
-        vals = vals * np.exp(-1j * np.pi * h * kernel.alpha)
-    out[inside] = vals
-    return out
+        coeffs = np.where(h == 0, kernel.alpha, _coeff_chi_star(kernel.alpha, h) * taper)
+    return _degree_H(kernel, h, coeffs)
 
 
-def coeff_B_array(kernel: VaalerKernel, hs: np.ndarray) -> np.ndarray:
-    """Vectorized coeff_B over an integer array."""
-    hs = np.asarray(hs, dtype=np.int64)
-    out = np.zeros(hs.shape, dtype=np.complex128)
-    inside = np.abs(hs) <= kernel.H
-    h = hs[inside].astype(np.float64)
+def coeff_B(kernel: VaalerKernel, hs: int | np.ndarray) -> complex | np.ndarray:
+    """Fourier coefficients of the majorant polynomial B at an int or int
+    array h, 0 beyond degree H."""
+    h = np.asarray(hs, dtype=np.float64)
     Hp1 = kernel.H + 1
-    vals = (1.0 - np.abs(h) / Hp1) / Hp1 * np.cos(np.pi * h * kernel.alpha)
-    vals = vals.astype(np.complex128)
-    if kernel.shifted:
-        vals = vals * np.exp(-1j * np.pi * h * kernel.alpha)
-    out[inside] = vals
-    return out
+    return _degree_H(kernel, h, (1.0 - np.abs(h) / Hp1) / Hp1 * np.cos(np.pi * h * kernel.alpha))
 
 
-def eval_kernel(kernel: VaalerKernel, which: str, x: float) -> float:
-    """Evaluate chi-indicator / chi-poly / B-poly at x.
+def kernel_values(kernel: VaalerKernel, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(chi, chi_H, B_H) at each x of a 1-d array.
 
     The indicator uses the exact floor identities; the polynomials are
-    summed from their coefficients (real by symmetry).
+    summed from their coefficients (real by symmetry) through one phase
+    matrix.
     """
-    if which == CHI_INDICATOR:
-        if kernel.shifted:
-            return float(math.floor(x) - math.floor(x - kernel.alpha))
-        return float(math.floor(x + kernel.alpha / 2) - math.floor(x - kernel.alpha / 2))
-    hs = np.arange(-kernel.H, kernel.H + 1)
-    if which == CHI_POLY:
-        coeffs = coeff_chi_array(kernel, hs)
-    elif which == B_POLY:
-        coeffs = coeff_B_array(kernel, hs)
+    xs = np.asarray(xs, dtype=np.float64)
+    if kernel.shifted:
+        chi = np.floor(xs) - np.floor(xs - kernel.alpha)
     else:
-        raise ValueError(f"unknown kernel component {which!r}")
-    value = np.sum(coeffs * np.exp(2j * np.pi * hs * x))
-    return float(value.real)
+        chi = np.floor(xs + kernel.alpha / 2) - np.floor(xs - kernel.alpha / 2)
+    hs = np.arange(-kernel.H, kernel.H + 1)
+    phases = np.exp(2j * np.pi * np.outer(xs, hs))
+    return chi, (phases @ coeff_chi(kernel, hs)).real, (phases @ coeff_B(kernel, hs)).real
 
 
 def sandwich_defect(kernel: VaalerKernel, grid_n: int) -> float:
@@ -162,16 +120,7 @@ def sandwich_defect(kernel: VaalerKernel, grid_n: int) -> float:
         jumps = np.array([-kernel.alpha / 2 % 1.0, kernel.alpha / 2 % 1.0])
     for j in jumps:
         xs = xs[np.abs(frac((xs - j) + 0.5) - 0.5) > 1e-9]
-    hs = np.arange(-kernel.H, kernel.H + 1)
-    chi_c = coeff_chi_array(kernel, hs)
-    b_c = coeff_B_array(kernel, hs)
-    phases = np.exp(2j * np.pi * np.outer(xs, hs))
-    chi_h = (phases @ chi_c).real
-    b_h = (phases @ b_c).real
-    if kernel.shifted:
-        chi = np.floor(xs) - np.floor(xs - kernel.alpha)
-    else:
-        chi = np.floor(xs + kernel.alpha / 2) - np.floor(xs - kernel.alpha / 2)
+    chi, chi_h, b_h = kernel_values(kernel, xs)
     return float(np.max(np.abs(chi - chi_h) - b_h))
 
 
@@ -234,20 +183,19 @@ def convolution_defects(U: int, H: int, ell: int) -> ConvolutionDefects:
     alpha = 1.0 / U
     kernel = VaalerKernel(alpha, H)
     hs = np.arange(-H, H + 1)
-    chi_star = np.array([_coeff_chi_star_plain(alpha, int(h)) for h in hs])
-    chi_h = coeff_chi_array(kernel, hs).real
-    b_h = coeff_B_array(kernel, hs).real
+    chi_star = _coeff_chi_star(alpha, hs)
+    chi_h = coeff_chi(kernel, hs).real
+    b_h = coeff_B(kernel, hs).real
     grid = np.exp(2j * np.pi * np.outer(np.arange(U), hs) / U)
 
     chiB_sum = float(np.sum((grid @ (chi_star * b_h)).real))
     BB_sum = float(np.sum((grid @ (b_h * b_h)).real))
 
     # (g e^ell)-hat(h) = g-hat(h - ell); pad so the shifted index stays valid
-    chi_h_shift = coeff_chi_array(kernel, hs - ell).real
+    chi_h_shift = coeff_chi(kernel, hs - ell).real
     conv_h = grid @ (chi_h * chi_h_shift)
-    exact0 = _coeff_chi_star_plain(alpha, ell)
     exact = np.zeros(U, dtype=np.complex128)
-    exact[0] = exact0
+    exact[0] = _coeff_chi_star(alpha, ell)  # chi* conv (chi* e^ell)(0)
     chiH_defect = float(np.sum(np.abs(conv_h - exact)))
     return ConvolutionDefects(chiB_sum, BB_sum, chiH_defect)
 
@@ -255,11 +203,6 @@ def convolution_defects(U: int, H: int, ell: int) -> ConvolutionDefects:
 def chi_star_self_convolution(alpha: float, x: float) -> float:
     """chi*_alpha conv chi*_alpha(x) = alpha * max(1 - ||x||/alpha, 0)."""
     return alpha * max(1.0 - _circle_distance(x) / alpha, 0.0)
-
-
-def chi_star_twisted_convolution_at_zero(alpha: float, ell: int) -> float:
-    """chi* conv (chi* e^ell)(0) = sin(pi alpha ell)/(pi ell), alpha at ell=0."""
-    return _coeff_chi_star_plain(alpha, ell)
 
 
 class WindowApproximation(NamedTuple):
@@ -293,7 +236,7 @@ def truncated_f_H(
     H = K * qlam - 1
     kernel = VaalerKernel(1.0 / qlam, H, shifted=True)
     hs = np.arange(-H, H + 1)
-    coeffs = coeff_chi_array(kernel, hs)
+    coeffs = coeff_chi(kernel, hs)
     f_vals = build_table(f, lam)[np.mod(hs, qlam)]
     phases = np.exp(2j * np.pi * hs * (a % q**kappa2) / q**kappa2)
     approx = complex(qlam * np.sum(coeffs * f_vals * phases))

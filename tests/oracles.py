@@ -1,17 +1,20 @@
 """Independent brute-force references for the tests.
 
 Nothing in the library calls these: the von Mangoldt function by k-th root
-extraction and trial division, and the Fourier transform F_lam by its
-defining O(q**lam) sum over a digit-by-digit table of f.
+extraction and trial division, the Fourier transform F_lam by its
+defining O(q**lam) sum over a digit-by-digit table of f, and the Vaaler
+kernel coefficients one h at a time in scalar math/cmath arithmetic.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
 from sqdigits.qmult import StronglyQMultiplicative
+from sqdigits.vaaler import VaalerKernel
 
 
 def _int_nth_root(n: int, k: int) -> int:
@@ -70,3 +73,36 @@ def eval_F_direct(f: StronglyQMultiplicative, lam: int, t) -> complex:
     u = np.arange(qlam)
     fu = np.array([complex(v) for v in _digit_value_table(f, lam)])
     return complex(np.sum(fu * np.exp(-2j * math.pi * float(t) * u / qlam)) / qlam)
+
+
+def coeff_chi_star(alpha: float, h: int) -> float:
+    """Fourier coefficient of the sharp indicator chi*_alpha."""
+    if h == 0:
+        return alpha
+    return math.sin(math.pi * h * alpha) / (math.pi * h)
+
+
+def coeff_chi(kernel: VaalerKernel, h: int) -> complex:
+    """Fourier coefficient of the chi polynomial; 0 beyond degree H."""
+    if abs(h) > kernel.H:
+        return 0.0 + 0.0j
+    if h == 0:
+        value = complex(kernel.alpha)
+    else:
+        j = abs(h) / (kernel.H + 1)
+        taper = math.pi * j * (1.0 - j) / math.tan(math.pi * j) + j
+        value = complex(coeff_chi_star(kernel.alpha, h) * taper)
+    if kernel.shifted:
+        value *= cmath.exp(-1j * math.pi * h * kernel.alpha)
+    return value
+
+
+def coeff_B(kernel: VaalerKernel, h: int) -> complex:
+    """Fourier coefficient of the majorant polynomial B; 0 beyond degree H."""
+    if abs(h) > kernel.H:
+        return 0.0 + 0.0j
+    Hp1 = kernel.H + 1
+    value = complex((1.0 - abs(h) / Hp1) / Hp1 * math.cos(math.pi * h * kernel.alpha))
+    if kernel.shifted:
+        value *= cmath.exp(-1j * math.pi * h * kernel.alpha)
+    return value

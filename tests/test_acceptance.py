@@ -179,7 +179,7 @@ def test_criterion_4_truncation_approximation():
             H = K * qlam - 1
             kernel = vaaler.VaalerKernel(1.0 / qlam, H)
             hs = np.arange(-H, H + 1)
-            chi_abs = np.abs(vaaler.coeff_chi_array(kernel, hs))
+            chi_abs = np.abs(vaaler.coeff_chi(kernel, hs))
             t = float(rng.random() * qlam)
             f_abs = np.abs(fourier.eval_F(TM, width, t + hs.astype(np.float64)))
             worst_l2 = max(worst_l2, float(np.sum(chi_abs**2 * f_abs**2)) - qlam**-2 - 1e-12)

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import oracles
 import pytest
 
 from sqdigits import vaaler
@@ -44,26 +45,35 @@ def test_coeff_B_examples():
 
 
 def test_coeff_arrays_match_scalars():
+    # the vectorized formulas against the per-h scalar references, past degree
+    # H, and the kernel values against per-x coefficient sums
+    H = 11
+    xs = np.array([-0.4, 0.0, 0.05, 0.37, 0.5, 0.62, 0.91, 1.3])
     for shifted in (False, True):
-        k = vaaler.VaalerKernel(1 / 3, 11, shifted=shifted)
-        hs = np.arange(-14, 15)
-        chi_vec = vaaler.coeff_chi_array(k, hs)
-        b_vec = vaaler.coeff_B_array(k, hs)
+        k = vaaler.VaalerKernel(1 / 3, H, shifted=shifted)
+        hs = np.arange(-H - 3, H + 4)
+        chi_vec = vaaler.coeff_chi(k, hs)
+        b_vec = vaaler.coeff_B(k, hs)
         for i, h in enumerate(hs):
-            assert abs(chi_vec[i] - vaaler.coeff_chi(k, int(h))) < 1e-14
-            assert abs(b_vec[i] - vaaler.coeff_B(k, int(h))) < 1e-14
+            chi, b = vaaler.coeff_chi(k, int(h)), vaaler.coeff_B(k, int(h))
+            assert type(chi) is complex and type(b) is complex
+            assert chi == chi_vec[i] and b == b_vec[i]
+            assert abs(chi - oracles.coeff_chi(k, int(h))) < 1e-14
+            assert abs(b - oracles.coeff_B(k, int(h))) < 1e-14
+        _, chi_h, b_h = vaaler.kernel_values(k, xs)
+        for coeffs, values in ((chi_vec, chi_h), (b_vec, b_h)):
+            for x, value in zip(xs, values):
+                assert abs(value - np.sum(coeffs * np.exp(2j * np.pi * hs * x))) < 1e-12
 
 
 def test_eval_kernel_indicator():
+    # left-closed, right-open at both jumps, all cases in one array
     k = vaaler.VaalerKernel(0.5, 7)
-    assert vaaler.eval_kernel(k, vaaler.CHI_INDICATOR, 0.0) == 1.0
-    assert vaaler.eval_kernel(k, vaaler.CHI_INDICATOR, 0.3) == 0.0
-    assert vaaler.eval_kernel(k, vaaler.CHI_INDICATOR, 0.25) == 0.0  # right-open
-    assert vaaler.eval_kernel(k, vaaler.CHI_INDICATOR, -0.25) == 1.0  # left-closed
+    chi, _, _ = vaaler.kernel_values(k, np.array([0.0, 0.3, 0.25, -0.25]))
+    assert chi.tolist() == [1.0, 0.0, 0.0, 1.0]
     shifted = vaaler.VaalerKernel(0.5, 7, shifted=True)
-    assert vaaler.eval_kernel(shifted, vaaler.CHI_INDICATOR, 0.0) == 1.0
-    assert vaaler.eval_kernel(shifted, vaaler.CHI_INDICATOR, 0.49) == 1.0
-    assert vaaler.eval_kernel(shifted, vaaler.CHI_INDICATOR, 0.5) == 0.0
+    chi, _, _ = vaaler.kernel_values(shifted, np.array([0.0, 0.49, 0.5]))
+    assert chi.tolist() == [1.0, 1.0, 0.0]
 
 
 def test_eval_kernel_B_matches_closed_form():
@@ -71,13 +81,15 @@ def test_eval_kernel_B_matches_closed_form():
     # its removable singularities
     alpha, H = 1 / 3, 11
     k = vaaler.VaalerKernel(alpha, H)
-    for x in (0.05, 0.37, 0.62, 0.91):
+    xs = (0.05, 0.37, 0.62, 0.91)
+    _, _, b_h = vaaler.kernel_values(k, np.array(xs))
+    for x, value in zip(xs, b_h):
         closed = sum(
             math.sin(math.pi * (H + 1) * (x + s * alpha / 2)) ** 2
             / (2 * (H + 1) ** 2 * math.sin(math.pi * (x + s * alpha / 2)) ** 2)
             for s in (-1, +1)
         )
-        assert abs(vaaler.eval_kernel(k, vaaler.B_POLY, x) - closed) < 1e-11
+        assert abs(value - closed) < 1e-11
 
 
 def test_eval_kernel_B_at_half_jump():
@@ -85,7 +97,7 @@ def test_eval_kernel_B_at_half_jump():
     # 1/2 plus the non-singular second term
     alpha, H = 0.5, 7
     k = vaaler.VaalerKernel(alpha, H)
-    value = vaaler.eval_kernel(k, vaaler.B_POLY, alpha / 2)
+    value = vaaler.kernel_values(k, np.array([alpha / 2]))[2][0]
     second = math.sin(math.pi * (H + 1) * alpha) ** 2 / (
         2 * (H + 1) ** 2 * math.sin(math.pi * alpha) ** 2
     )
@@ -98,7 +110,7 @@ def test_kernel_validation():
     with pytest.raises(ValueError):
         vaaler.VaalerKernel(0.5, 0)
     with pytest.raises(ValueError):
-        vaaler.eval_kernel(vaaler.VaalerKernel(0.5, 5), "nope", 0.0)
+        vaaler.sandwich_defect(vaaler.VaalerKernel(0.5, 5), 0)
 
 
 @pytest.mark.parametrize("alpha,H", [(0.5, 7), (1 / 3, 26)])
@@ -158,12 +170,12 @@ def test_convolution_defects_against_quadrature_oracle():
     U, H, ell = 3, 8, 2
     k = vaaler.VaalerKernel(1 / U, H)
     hs = np.arange(-H - abs(ell), H + abs(ell) + 1)
-    chi_c = vaaler.coeff_chi_array(k, hs)
-    chi_shift = vaaler.coeff_chi_array(k, hs - ell)
+    chi_c = vaaler.coeff_chi(k, hs)
+    chi_shift = vaaler.coeff_chi(k, hs - ell)
     defect_series = 0.0
     for u in range(U):
         conv = _convolution_by_quadrature(chi_c, chi_shift, hs, u / U)
-        exact = vaaler.chi_star_twisted_convolution_at_zero(1 / U, ell) if u == 0 else 0.0
+        exact = oracles.coeff_chi_star(1 / U, ell) if u == 0 else 0.0
         defect_series += abs(conv - exact)
     reported = vaaler.convolution_defects(U, H, ell).chiH_defect
     assert abs(defect_series - reported) < 1e-10
@@ -191,18 +203,21 @@ def test_chi_star_self_convolution_support():
     for x in (0.25, 0.3, 0.5, 0.74):
         assert vaaler.chi_star_self_convolution(alpha, x) == 0.0
     hs = np.arange(-4000, 4001)
-    coeffs = np.array([vaaler._coeff_chi_star_plain(alpha, int(h)) for h in hs])
+    coeffs = vaaler._coeff_chi_star(alpha, hs)
     for x in (0.0, 0.1, 0.2, 0.3, 0.6):
         series = float(np.sum(coeffs**2 * np.exp(2j * np.pi * hs * x)).real)
         assert abs(series - vaaler.chi_star_self_convolution(alpha, x)) < 1e-4
 
 
 def test_twisted_zero_value():
+    # chi* conv (chi* e^ell)(0) is the chi* coefficient at ell
     alpha = 0.25
-    for ell in (1, 2, 5):
-        expected = math.sin(math.pi * alpha * ell) / (math.pi * ell)
-        assert abs(vaaler.chi_star_twisted_convolution_at_zero(alpha, ell) - expected) < 1e-15
-    assert vaaler.chi_star_twisted_convolution_at_zero(alpha, 0) == alpha
+    ells = np.array([-3, 0, 1, 2, 5])
+    values = vaaler._coeff_chi_star(alpha, ells)
+    for ell, value in zip(ells, values):
+        assert abs(value - oracles.coeff_chi_star(alpha, int(ell))) < 1e-15
+        assert vaaler._coeff_chi_star(alpha, int(ell)) == value
+    assert values[1] == alpha
 
 
 def test_truncated_f_H_constant():
@@ -243,12 +258,11 @@ def test_truncated_f_H_function_space_oracle():
     qlam = q**lam
     H = K * qlam - 1
     kernel = vaaler.VaalerKernel(1.0 / qlam, H, shifted=True)
+    u = np.arange(qlam)
+    f_u = np.array([evaluate(TM, q**kappa1 * int(v)) for v in u])
     for a in (0, 5, 13, 100, -7):
-        direct = sum(
-            evaluate(TM, q**kappa1 * u)
-            * vaaler.eval_kernel(kernel, vaaler.CHI_POLY, a / q**kappa2 - u / qlam)
-            for u in range(qlam)
-        )
+        _, chi_h, _ = vaaler.kernel_values(kernel, a / q**kappa2 - u / qlam)
+        direct = np.sum(f_u * chi_h)
         approx, bound = vaaler.truncated_f_H(TM, a, kappa1, kappa2, K)
         assert abs(approx - direct) < 1e-9
         direct_bound = qlam * sum(
@@ -278,8 +292,8 @@ def test_window_approximation_sweep_with_l1_l2_means():
             H = K * qlam - 1
             kernel = vaaler.VaalerKernel(1.0 / qlam, H)
             hs = np.arange(-H, H + 1)
-            chi_sq = np.abs(vaaler.coeff_chi_array(kernel, hs)) ** 2
-            chi_abs = np.abs(vaaler.coeff_chi_array(kernel, hs))
+            chi_sq = np.abs(vaaler.coeff_chi(kernel, hs)) ** 2
+            chi_abs = np.abs(vaaler.coeff_chi(kernel, hs))
             t = float(rng.random() * qlam)
             f_abs = np.abs(eval_F(f, lam, t + hs.astype(np.float64)))
             # L2 mean against q**(-2 lam)
