@@ -13,11 +13,11 @@ reduction; identical inputs therefore give bitwise identical reports.  A
 numerator k becomes e(k/D) by one division and exp, or, with no twist and
 D <= DIGIT_TABLE_CAP, by a lookup in a table of the D roots of unity built
 from the same k/D, so both give the same bits.  Every
-bilinear sum reads one primitive, _row_block: a zero-padded (m, n) block of
-g(mn) = f((mn)^2) e(theta mn), built with one kernel call per KERNEL_BLOCK
-pairs rather than one per row.  The q-adic rectangle of type_sums is one such
-block, reduced three ways (S_20, S_I and its suffix maximum); the Vaughan
-probe builds one per q-adic M.
+bilinear sum reads a zero-padded (m, n) block of g(mn) = f((mn)^2) e(theta mn).
+The q-adic rectangle of type_sums takes one kernel call per KERNEL_BLOCK
+pairs and is reduced three ways (S_20, S_I and its suffix maximum).  The
+Vaughan probe evaluates g once on (x/q, x], where all its products lie, and
+copies each row of each q-adic block as a strided slice of that table.
 
 Parameter plans reproduce the explicit recipes used to make the type II
 and type I machinery non-trivial: every derived quantity is integer
@@ -251,23 +251,28 @@ def decay_fit(xs: list[int], f: StronglyQMultiplicative, theta: float) -> DecayF
     return DecayFit(xs=tuple(xs), values=tuple(values), fitted_exponent=slope)
 
 
-def _row_block(
-    m: np.ndarray, lo: np.ndarray, size: np.ndarray, f: StronglyQMultiplicative, theta: float
+def _rectangle(
+    m: np.ndarray, n: np.ndarray, f: StronglyQMultiplicative, theta: float
 ) -> np.ndarray:
-    """Dense g(mn) = f((mn)^2) e(theta mn) for int64 rows m: row i holds
-    n = lo[i], ..., lo[i] + size[i] - 1, zero-padded on the n-grid the rows
-    share, and the block is filled in place by one kernel call per
-    KERNEL_BLOCK pairs, across row ends."""
-    ends = np.cumsum(size)
-    first, n_min = ends - size, int(lo.min())  # first: pair offset of each row
+    """Dense g(mn) = f((mn)^2) e(theta mn) on the grid of uint64 arrays m x n,
+    filled in place by one kernel call per KERNEL_BLOCK pairs, across row ends."""
+    dense = np.empty((m.size, n.size), dtype=np.complex128)
+    for a in range(0, dense.size, KERNEL_BLOCK):
+        k = np.arange(a, min(a + KERNEL_BLOCK, dense.size))
+        dense.reshape(-1)[a : a + k.size] = _twisted_square(f, m[k // n.size] * n[k % n.size], theta)
+    return dense
+
+
+def _strided_rows(
+    g: np.ndarray, k0: int, m: np.ndarray, lo: np.ndarray, size: np.ndarray
+) -> np.ndarray:
+    """Dense g(mn) for int64 rows m from the table g[k - k0] = g(k): row i
+    holds n = lo[i], ..., lo[i] + size[i] - 1, zero-padded on the n-grid the
+    rows share, and is the table's slice with stride m[i] from k = m[i] lo[i]."""
+    n_min = int(lo.min())
     dense = np.zeros((m.size, int((lo + size).max()) - n_min), dtype=np.complex128)
-    for a in range(0, int(ends[-1]), KERNEL_BLOCK):
-        b = min(a + KERNEL_BLOCK, int(ends[-1]))  # pairs a .. b-1, in rows r0 .. r1-1
-        r0, r1 = np.searchsorted(ends, [a, b - 1], side="right") + [0, 1]
-        row = np.repeat(np.arange(r0, r1), np.diff(np.minimum(ends[r0:r1], b), prepend=a))
-        n = lo[row] + np.arange(a, b) - first[row]
-        g = _twisted_square(f, (m[row] * n).astype(np.uint64), theta)
-        dense.reshape(-1)[row * dense.shape[1] + n - n_min] = g
+    for row, mi, n0, count in zip(dense, m.tolist(), lo.tolist(), size.tolist()):
+        row[n0 - n_min : n0 - n_min + count] = g[mi * n0 - k0 : mi * (n0 + count) - k0 : mi]
     return dense
 
 
@@ -303,7 +308,7 @@ def type_sums(
     b: np.ndarray,
 ) -> tuple[complex, float, float]:
     """(S20, SI, SI_max) over the q-adic rectangle of rectangle_shape, with
-    g(mn) = f(m^2 n^2) e(theta m n) built once as one row block:
+    g(mn) = f(m^2 n^2) e(theta m n) built once as one dense block:
 
     * S20    = sum_m sum_n a_m b_n g(mn), the exact bilinear (type II) sum;
     * SI     = sum_m |sum_n g(mn)|, the type I sum over full inner intervals;
@@ -318,8 +323,8 @@ def type_sums(
         raise ValueError(f"coefficient lengths must match the rectangle: need ({rows}, {cols})")
     if np.max(np.abs(a)) > 1 + 1e-12 or np.max(np.abs(b)) > 1 + 1e-12:
         raise ValueError("coefficients must have modulus at most 1")
-    m = np.arange(q ** (mu - 1), q**mu, dtype=np.int64)
-    g = _row_block(m, np.full(rows, q ** (nu - 1)), np.full(rows, cols), f, theta)
+    m = np.arange(q ** (mu - 1), q**mu, dtype=np.uint64)
+    g = _rectangle(m, np.arange(q ** (nu - 1), q**nu, dtype=np.uint64), f, theta)
     s20 = complex(np.sum(a[:, None] * b[None, :] * g))
     # hypot rounds as Python's abs(complex) does; numpy's complex abs does not
     si = _rows_total(g, lambda c: np.hypot((s := c.sum(axis=1)).real, s.imag))
@@ -428,8 +433,10 @@ def vaughan_probe(
 ) -> VaughanProbe:
     """Evaluate the two sum families feeding the combinatorial identity.
 
-    Each q-adic M is one zero-padded row block (_row_block): row m in
-    (M/q, M] holds x/(qm) < n <= x/m.
+    g(k) = f(k^2) e(theta k) is evaluated once on (x/q, x], where every mn
+    lies, a table of 16 (x - x//q) bytes.  Each q-adic M is one zero-padded
+    row block of its strided slices (_strided_rows): row m in (M/q, M] holds
+    x/(qm) < n <= x/m.
 
     * type I (M <= x**beta1): per m the maximum over all suffix intervals
       (t, x/m] is scanned exactly via cumulative sums along the padded row.
@@ -439,7 +446,7 @@ def vaughan_probe(
       The attained value never decreases along the alignment history.
     * fitted_C = |Lambda sum| / (U log^2 x) with U the larger of the two
       maxima; the Lambda sum runs over x/q < n <= x.  x above LAMBDA_SUM_CAP
-      is refused before any row is built.
+      is refused before the table is built.
     """
     if x < q * q:
         raise PreconditionError(f"need x >= q^2, got x={x}")
@@ -451,11 +458,13 @@ def vaughan_probe(
     type1_max = type2_max = 0.0
     type1_arg = type2_arg = pair_count = 0
     history: tuple[float, ...] = ()
+    k0 = x // q + 1
+    g = _twisted_square(f, np.arange(k0, x + 1, dtype=np.uint64), theta)
     M = q
     while M <= x ** (1.0 - beta1):  # covers every type I block, as beta1 < 1/3
         m = np.arange(M // q + 1, min(M, x) + 1, dtype=np.int64)  # larger m have no n
         lo, size = x // (q * m) + 1, x // m - x // (q * m)  # x/(qm) < n <= x/m
-        dense = _row_block(m, lo, size, f, theta)
+        dense = _strided_rows(g, k0, m, lo, size)
         if M <= x**beta1:
             value = _suffix_max_sum(dense)
             if value > type1_max:
@@ -466,6 +475,7 @@ def vaughan_probe(
                 type2_max, type2_arg, history, pair_count = value, M, hist, int(size.sum())
         del dense  # before the next block is built
         M *= q
+    del g  # before the Lambda sweep
 
     to_x, to_x_over_q = _lambda_sums([x, x // q], f, theta)
     lam_sum = to_x - to_x_over_q
@@ -489,7 +499,7 @@ def vaughan_probe(
 def _align_bilinear(dense: np.ndarray) -> tuple[float, tuple[float, ...]]:
     """Two rounds of alternating phase alignment from a = 1.
 
-    dense is a row block of _row_block, one row per m on the n-grid that
+    dense is a row block of _strided_rows, one row per m on the n-grid that
     b_n shares; the zero padding adds nothing to either matvec.
     Returns (final value, value history).
     """

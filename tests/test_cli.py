@@ -4,8 +4,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from datetime import timedelta
 from pathlib import Path
@@ -22,11 +25,12 @@ ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((ROOT / "src" / "sqdigits" / "report_schema.json").read_text())
 
 
-def _readme_examples() -> list[list[str]]:
-    """The argv of every ``sqdigits ...`` line in README's sh blocks, comments cut."""
+def _readme_examples(program: str = "sqdigits") -> list[list[str]]:
+    """The argv after ``program`` of every ``program ...`` line in README's sh
+    blocks, comments cut."""
     blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
     lines = (line.split("#")[0] for block in blocks for line in block.splitlines())
-    return [shlex.split(line)[1:] for line in lines if line.startswith("sqdigits ")]
+    return [shlex.split(line)[1:] for line in lines if line.startswith(program + " ")]
 
 
 def run_cli(args, tmp_path, name="report.json"):
@@ -41,6 +45,19 @@ def test_readme_examples_exit_zero(tmp_path):
     for i, argv in enumerate(examples):
         code, _ = run_cli(argv, tmp_path, f"{i}.out")
         assert code == 0, argv
+
+
+def test_readme_script_runs():
+    # the README's one script line, under this interpreter with the source tree
+    # on the path; its Vaughan probe prints one line per x = 10^4 ... 10^7
+    (argv,) = _readme_examples("python3")
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert len(re.findall(r"^  x=", done.stdout, re.M)) == 4, done.stdout
 
 
 def test_equidist_report(tmp_path):

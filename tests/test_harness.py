@@ -398,14 +398,17 @@ def test_vaughan_probe_type1_brute_force():
         total += best
     vp = harness.vaughan_probe(x, q, TM, 0.0)
     assert vp.type1_argmax_M >= q
-    probe_at_q = harness._suffix_max_sum(harness._row_block(*_vaughan_rows(x, q, q), TM, 0.0))
+    probe_at_q = harness._suffix_max_sum(_vaughan_block(x, q, q, TM, 0.0))
     assert abs(probe_at_q - total) < 1e-9
 
 
-def _vaughan_rows(x, q, M):
-    """The probe's (m, lo, size) at one q-adic M: x/(qm) < n <= x/m for M/q < m <= min(M, x)."""
+def _vaughan_block(x, q, M, f, theta):
+    """The probe's row block at one q-adic M: x/(qm) < n <= x/m for
+    M/q < m <= min(M, x), sliced from its table of g(k) at x/q < k <= x."""
+    k0 = x // q + 1
+    g = harness._twisted_square(f, np.arange(k0, x + 1, dtype=np.uint64), theta)
     m = np.arange(M // q + 1, min(M, x) + 1, dtype=np.int64)
-    return m, x // (q * m) + 1, x // m - x // (q * m)
+    return harness._strided_rows(g, k0, m, x // (q * m) + 1, x // m - x // (q * m))
 
 
 def _vaughan_block_per_row(x, q, M, f, theta):
@@ -421,11 +424,11 @@ def _vaughan_block_per_row(x, q, M, f, theta):
     dense = np.zeros((len(rows), n_max - n_min), dtype=np.complex128)
     for i, (start, g) in enumerate(rows):
         dense[i, start - n_min : start - n_min + len(g)] = g
-    return dense, sum(len(g) for _, g in rows)
+    return dense
 
 
-def _row_block_in_7_pair_calls(monkeypatch, rows, f, theta):
-    """_row_block(*rows, f, theta) with KERNEL_BLOCK patched to 7, and the
+def _rectangle_in_7_pair_calls(monkeypatch, m, n, f, theta):
+    """_rectangle(m, n, f, theta) with KERNEL_BLOCK patched to 7, and the
     length of each _twisted_square call it made."""
     calls = []
     twisted_square = harness._twisted_square
@@ -437,30 +440,33 @@ def _row_block_in_7_pair_calls(monkeypatch, rows, f, theta):
     with monkeypatch.context() as patch:
         patch.setattr(harness, "KERNEL_BLOCK", 7)
         patch.setattr(harness, "_twisted_square", counting)
-        return harness._row_block(*rows, f, theta), calls
+        return harness._rectangle(m, n, f, theta), calls
 
 
-def test_vaughan_block_matches_per_row_reference(monkeypatch):
+def test_vaughan_block_matches_per_row_reference():
     cases = [
         (200, 2, TM, 0.0),
         (200, 2, make_digit_exponential(2, Fraction(1, 3)), 0.37),
         (50, 3, make_digit_exponential(3, Fraction(1, 3)), 0.1),
         (90, 3, make_digit_exponential(3, 0.3721), 0.25),  # float phases
+        # x = q^2, the smallest x the probe takes, and q^2 + 1: tables of
+        # 2 and 3 values (q = 2), 6 and 7 values (q = 3)
+        (4, 2, make_digit_exponential(2, Fraction(1, 3)), 0.37),
+        (5, 2, TM, 0.0),
+        (9, 3, make_digit_exponential(3, Fraction(1, 3)), 0.0),
+        (10, 3, make_digit_exponential(3, 0.3721), 0.25),
     ]
+    capped = []
     for x, q, f, theta in cases:
-        # q-adic M up to q*x: the last blocks hold rows m > x with no n
-        blocks = [q**k for k in range(1, 99) if q ** (k - 1) <= x]
-        reference = [_vaughan_block_per_row(x, q, M, f, theta) for M in blocks]
-        assert any(dense.shape[0] < M - M // q for M, (dense, _) in zip(blocks, reference))
-        # 7-pair chunks split the long rows (M = q) and span several short
-        # ones (the largest M), and the kernel walks them in 7-value blocks
-        for M, (ref_dense, ref_pairs) in zip(blocks, reference):
-            m, lo, size = _vaughan_rows(x, q, M)
-            dense, calls = _row_block_in_7_pair_calls(monkeypatch, (m, lo, size), f, theta)
-            assert int(size.sum()) == ref_pairs
-            assert calls == [min(7, ref_pairs - start) for start in range(0, ref_pairs, 7)]
+        # q-adic M up to q*x, while M/q < x leaves a row: the last blocks hold
+        # rows m > x with no n, which the probe does not build
+        for M in [q**k for k in range(1, 99) if q ** (k - 1) < x]:
+            ref_dense = _vaughan_block_per_row(x, q, M, f, theta)
+            dense = _vaughan_block(x, q, M, f, theta)
             assert dense.shape == ref_dense.shape and dense.dtype == ref_dense.dtype
             assert dense.tobytes() == ref_dense.tobytes()
+            capped.append(dense.shape[0] < M - M // q)
+    assert any(capped)
 
 
 def test_rectangle_matches_per_row_reference(monkeypatch):
@@ -478,8 +484,7 @@ def test_rectangle_matches_per_row_reference(monkeypatch):
         m = np.arange(q ** (mu - 1), q**mu, dtype=np.uint64)
         n = np.arange(q ** (nu - 1), q**nu, dtype=np.uint64)
         reference = np.array([_g(f, row_m * n, theta) for row_m in m])
-        rows = (m.astype(np.int64), np.full(m.size, q ** (nu - 1)), np.full(m.size, n.size))
-        dense, calls = _row_block_in_7_pair_calls(monkeypatch, rows, f, theta)
+        dense, calls = _rectangle_in_7_pair_calls(monkeypatch, m, n, f, theta)
         assert calls == [min(7, reference.size - start) for start in range(0, reference.size, 7)]
         assert dense.shape == reference.shape and dense.tobytes() == reference.tobytes()
         a = np.exp(2j * np.pi * rng.random(m.size))
@@ -504,6 +509,30 @@ def test_vaughan_probe_checks_cap_before_rows(monkeypatch):
     monkeypatch.setattr(harness, "_twisted_square", no_rows)
     with pytest.raises(CapacityError):
         harness.vaughan_probe(harness.LAMBDA_SUM_CAP + 1, 2, TM, 0.0)
+
+
+def test_vaughan_probe_evaluates_its_window_once(monkeypatch):
+    # one kernel call builds the table of g on (x/q, x]; the row blocks only
+    # slice it, so every later call is the Lambda sweep's own
+    x, q = 10**5, 2
+    events = []
+    twisted_square, lambda_sums = harness._twisted_square, harness._lambda_sums
+
+    def counting(f, n, theta):
+        events.append(len(n))
+        return twisted_square(f, n, theta)
+
+    def marked(*args):
+        events.append("lambda")
+        return lambda_sums(*args)
+
+    monkeypatch.setattr(harness, "_twisted_square", counting)
+    monkeypatch.setattr(harness, "_lambda_sums", marked)
+    harness.vaughan_probe(x, q, TM, 0.0)
+    probe_events = list(events)
+    events.clear()
+    harness._lambda_sums([x, x // q], TM, 0.0)
+    assert probe_events == [x - x // q] + events
 
 
 def test_vaughan_probe_validation():
