@@ -64,6 +64,15 @@ EXPSUM_FAMILIES = (
 )
 
 
+# bilinear expsum family -> (frequency keyword of bilinear_quadratic_sum, its
+# value, the power of |S/(MN)| that the bound controls, the bound)
+BILINEAR_FAMILIES = {
+    "bilinear-mn2": ("xi3", Fraction(1, 17), 2, xs.bound_mn2),
+    "bilinear-xi2": ("xi2", Fraction(1, 17), 2, xs.bound_xi2),
+    "bilinear-m2n2": ("xi4", Fraction(1, 101), 4, xs.bound_m2n2),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     command: str
@@ -123,47 +132,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--q", type=int, default=2, help="base (>= 2)")
-        p.add_argument("--gamma", type=_parse_gamma, default="1/2",
-                       help="exact rational phase step, e.g. 1/2")
-        p.add_argument("--seed", type=int, default=1, help="seed for all randomized sweeps")
-        p.add_argument("--output", default="-", help="report path, - for stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    def subcommand(name: str, help_text: str) -> argparse.ArgumentParser:
+        """A subparser with the common flags; a flag left out keeps its RunConfig default."""
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        p.add_argument("--q", type=int, help="base (>= 2)")
+        p.add_argument("--gamma", type=_parse_gamma, help="exact rational phase step, e.g. 1/2")
+        p.add_argument("--seed", type=int, help="seed for all randomized sweeps")
+        p.add_argument("--output", dest="output_path", metavar="OUTPUT", help="report path, - for stdout")
+        p.add_argument("--format", choices=("json", "csv"))
+        return p
 
-    p = sub.add_parser("verify", help="run every explicit-constant lemma suite")
-    common(p)
+    subcommand("verify", "run every explicit-constant lemma suite")
+    subcommand("constants", "spectral constants with closed-form bounds")
 
-    p = sub.add_parser("constants", help="spectral constants with closed-form bounds")
-    common(p)
+    p = subcommand("equidist", "counts of s_q(p^2) mod m")
+    p.add_argument("--m", type=int)
+    p.add_argument("--x", type=_parse_x)
 
-    p = sub.add_parser("equidist", help="counts of s_q(p^2) mod m")
-    common(p)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--x", type=_parse_x, default=10**6)
+    p = subcommand("expsum", "bound reports for a lemma family")
+    p.add_argument("--family", choices=EXPSUM_FAMILIES)
 
-    p = sub.add_parser("expsum", help="bound reports for a lemma family")
-    common(p)
-    p.add_argument("--family", choices=EXPSUM_FAMILIES, default="geometric")
+    p = subcommand("typesums", "type I / type II sums and parameter plans")
+    p.add_argument("--mu", type=_parse_exponent)
+    p.add_argument("--nu", type=_parse_exponent)
+    p.add_argument("--theta", type=_parse_theta)
 
-    p = sub.add_parser("typesums", help="type I / type II sums and parameter plans")
-    common(p)
-    p.add_argument("--mu", type=_parse_exponent, default=6)
-    p.add_argument("--nu", type=_parse_exponent, default=10)
-    p.add_argument("--theta", type=_parse_theta, default=0.0)
-
-    p = sub.add_parser("decay", help="Lambda-weighted decay trend")
-    common(p)
-    p.add_argument("--xs", type=_parse_xs, default=(10**4, 10**5, 10**6),
-                   help="comma-separated x values")
-    p.add_argument("--theta", type=_parse_theta, default=0.0)
+    p = subcommand("decay", "Lambda-weighted decay trend")
+    p.add_argument("--xs", type=_parse_xs, dest="xs_list", metavar="XS", help="comma-separated x values")
+    p.add_argument("--theta", type=_parse_theta)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     """The flags of one subcommand; the fields it has no flag for keep their defaults."""
-    renamed = {"output": "output_path", "xs": "xs_list"}
-    return RunConfig(**{renamed.get(k, k): v for k, v in vars(args).items()})
+    return RunConfig(**vars(args))
 
 
 def _check_row(suite: str, label: str, exact: float, bound: float, kind: str, tol: float) -> dict:
@@ -413,7 +415,7 @@ def _expsum_rows(config: RunConfig) -> list[dict]:
     family = config.family
     out: list[dict] = []
 
-    def emit(label: str, exact: float, bound: float, ratio: float, passed: bool | None) -> None:
+    def emit(label: str, exact: float, bound: float, passed: bool | None) -> None:
         """passed is None where the bound's constant is not explicit."""
         out.append(
             {
@@ -421,14 +423,14 @@ def _expsum_rows(config: RunConfig) -> list[dict]:
                 "label": label,
                 "exact": exact,
                 "bound": bound,
-                "ratio": ratio,
+                "ratio": _ratio(exact, bound),
                 "explicit_constant": passed is not None,
                 "pass": passed,
             }
         )
 
     def emit_report(label: str, r: xs.BoundReport) -> None:
-        emit(label, r.exact, r.bound, r.ratio, r.holds if r.explicit_constant else None)
+        emit(label, r.exact, r.bound, r.holds if r.explicit_constant else None)
 
     if family == "geometric":
         for i in range(200):
@@ -457,30 +459,17 @@ def _expsum_rows(config: RunConfig) -> list[dict]:
             n = int(rng.integers(1, 200))
             z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             lhs, rhs = xs.vdc_variant_check(z, int(rng.integers(1, 8)), int(rng.integers(1, 8)))
-            emit(f"i={i}", lhs, rhs, _ratio(lhs, rhs), lhs <= rhs + 1e-9 * max(1.0, abs(rhs)))
+            emit(f"i={i}", lhs, rhs, lhs <= rhs + 1e-9 * max(1.0, abs(rhs)))
     elif family == "second-derivative":
         for N in (64, 128, 256, 512, 1024, 2048, 4096):
             emit_report(f"N={N}", xs.second_derivative_report(1.0 / (10.0 * math.sqrt(2.0)), N))
-    elif family in ("bilinear-mn2", "bilinear-xi2", "bilinear-m2n2"):
+    elif family in BILINEAR_FAMILIES:
+        keyword, xi, power, bound_of = BILINEAR_FAMILIES[family]
         for size in (32, 64, 128):
             a = np.exp(2j * np.pi * rng.random(size))
             b = np.exp(2j * np.pi * rng.random(size))
-            if family == "bilinear-mn2":
-                xi = Fraction(1, 17)
-                s = xs.bilinear_quadratic_sum(a, b, xi3=xi)
-                exact = (abs(s) / (size * size)) ** 2
-                bound = xs.bound_mn2(size, size, xi)
-            elif family == "bilinear-xi2":
-                xi = Fraction(1, 17)
-                s = xs.bilinear_quadratic_sum(a, b, xi2=xi)
-                exact = (abs(s) / (size * size)) ** 2
-                bound = xs.bound_xi2(size, size, xi)
-            else:
-                xi = Fraction(1, 101)
-                s = xs.bilinear_quadratic_sum(a, b, xi4=xi)
-                exact = (abs(s) / (size * size)) ** 4
-                bound = xs.bound_m2n2(size, size, xi)
-            emit(f"M=N={size}", exact, bound, _ratio(exact, bound), None)
+            s = xs.bilinear_quadratic_sum(a, b, **{keyword: xi})
+            emit(f"M=N={size}", (abs(s) / (size * size)) ** power, bound_of(size, size, xi), None)
     return out
 
 

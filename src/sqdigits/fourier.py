@@ -358,8 +358,14 @@ def max_abs_F(f: StronglyQMultiplicative, lam: int) -> float:
     def fun_vec(ts: np.ndarray) -> np.ndarray:
         return np.abs(eval_F(f, lam, ts))
 
-    _, v = _grid_refine_max(fun_vec, 0.0, period, n)
-    return v
+    # the step q**lam / n reaches 4/3 at q = 8, wider than a lobe of |F_1|: scan the 8
+    # best points' neighbourhoods 32 times finer, so that the refined lobe is the highest
+    grid = np.linspace(0.0, period, n, endpoint=False)
+    step = period / n
+    best = grid[np.argsort(fun_vec(grid))[-8:]]
+    fine = fun_vec((best[:, None] + step * np.linspace(-1.0, 1.0, 64, endpoint=False)).ravel())
+    t = best[np.argmax(fine.reshape(8, 64).max(axis=1))]
+    return _grid_refine_max(fun_vec, t - step, t + step, 64)[1]
 
 
 def almost_ap_l2_sum(

@@ -44,6 +44,7 @@ from .sieve import prime_arrays
 LAMBDA_SUM_CAP = 10**8
 TYPE_SUM_CAP = 1 << 26
 EQUIDIST_BIN_CAP = 1 << 16  # the report lists every residue count
+BETA1 = 0.2  # the Vaughan probe's type I / type II split; below 1/3
 
 
 # The digit kernel reads k base-q digits per pass from a table of the q**k
@@ -428,9 +429,7 @@ class VaughanProbe:
     fitted_C: float
 
 
-def vaughan_probe(
-    x: int, q: int, f: StronglyQMultiplicative, theta: float, beta1: float = 0.2
-) -> VaughanProbe:
+def vaughan_probe(x: int, q: int, f: StronglyQMultiplicative, theta: float) -> VaughanProbe:
     """Evaluate the two sum families feeding the combinatorial identity.
 
     g(k) = f(k^2) e(theta k) is evaluated once on (x/q, x], where every mn
@@ -438,9 +437,9 @@ def vaughan_probe(
     row block of its strided slices (_strided_rows): row m in (M/q, M] holds
     x/(qm) < n <= x/m.
 
-    * type I (M <= x**beta1): per m the maximum over all suffix intervals
+    * type I (M <= x**BETA1): per m the maximum over all suffix intervals
       (t, x/m] is scanned exactly via cumulative sums along the padded row.
-    * type II (x**beta1 <= M <= x**(1-beta1)): the supremum over unimodular
+    * type II (x**BETA1 <= M <= x**(1-BETA1)): the supremum over unimodular
       coefficients is lower-bounded by alternating phase alignment, two
       rounds of (align a_m, align b_n) from the deterministic start a = 1.
       The attained value never decreases along the alignment history.
@@ -450,8 +449,6 @@ def vaughan_probe(
     """
     if x < q * q:
         raise PreconditionError(f"need x >= q^2, got x={x}")
-    if not 0.0 < beta1 < 1.0 / 3.0:
-        raise PreconditionError(f"need 0 < beta1 < 1/3, got {beta1}")
     if x > LAMBDA_SUM_CAP:
         raise CapacityError(f"x = {x} exceeds the cap {LAMBDA_SUM_CAP}")
 
@@ -461,15 +458,15 @@ def vaughan_probe(
     k0 = x // q + 1
     g = _twisted_square(f, np.arange(k0, x + 1, dtype=np.uint64), theta)
     M = q
-    while M <= x ** (1.0 - beta1):  # covers every type I block, as beta1 < 1/3
+    while M <= x ** (1.0 - BETA1):  # covers every type I block, as BETA1 < 1/3
         m = np.arange(M // q + 1, min(M, x) + 1, dtype=np.int64)  # larger m have no n
         lo, size = x // (q * m) + 1, x // m - x // (q * m)  # x/(qm) < n <= x/m
         dense = _strided_rows(g, k0, m, lo, size)
-        if M <= x**beta1:
+        if M <= x**BETA1:
             value = _suffix_max_sum(dense)
             if value > type1_max:
                 type1_max, type1_arg = value, M
-        if M >= x**beta1:
+        if M >= x**BETA1:
             value, hist = _align_bilinear(dense)
             if value > type2_max:
                 type2_max, type2_arg, history, pair_count = value, M, hist, int(size.sum())
@@ -484,7 +481,7 @@ def vaughan_probe(
     return VaughanProbe(
         x=x,
         q=q,
-        beta1=beta1,
+        beta1=BETA1,
         type1_max=type1_max,
         type1_argmax_M=type1_arg,
         type2_max=type2_max,

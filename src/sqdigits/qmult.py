@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .digits import rep_window
+from .digits import rep_window, to_digits
 from .errors import CapacityError
 
 Phase = Fraction | float
@@ -155,12 +155,9 @@ def is_proper(f: StronglyQMultiplicative) -> bool:
 
 def phase_of(f: StronglyQMultiplicative, n: int) -> Phase:
     """Accumulated phase of f(n) reduced mod 1 (exact for rational phases)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
     denom, weights = _cached_numerators(f) if f.exact else (1.0, f.phases)
     total = 0 * denom  # 0.0 for float phases, so a Fraction among them adds as a float
-    while n:
-        n, b = divmod(n, f.q)
+    for b in to_digits(n, f.q):  # added in order: sum() compensates float sums from 3.12 on
         total += weights[b]
     total %= denom
     return Fraction(total, denom) if f.exact else total

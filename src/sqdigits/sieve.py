@@ -1,18 +1,17 @@
 """Segmented prime generation at desk scale.
 
-Primes are produced by an odd-only segmented sieve (default segment
-2**22 odd flags) so that harness runs up to 10**8 finish in seconds.  Each
-segment starts from a pattern pre-sieved by the wheel primes 3, 5, 7, 11
-and 13, and the remaining base primes are struck one cache-sized sub-block
-at a time; segments and flags do not depend on either.  The von Mangoldt
-weights log p of the prime powers are applied by the harness, on these
-prime arrays.
+Primes are produced by an odd-only segmented sieve (segments of 2**22 odd
+flags) so that harness runs up to 10**8 finish in seconds.  Each segment
+starts from a pattern pre-sieved by the wheel primes 3, 5, 7, 11 and 13,
+and the base primes up to sqrt(x), which the same sieve yields, are struck
+one cache-sized sub-block at a time; segments and flags do not depend on
+either.  x above PRIME_CAP is refused before the first array.  The von
+Mangoldt weights log p of the prime powers are applied by the harness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -25,18 +24,6 @@ SEGMENT_SIZE = 1 << 22  # odd flags per segment
 SUB_BLOCK = 1 << 20  # odd flags struck at a time: 1 MiB, so that they stay in L2
 WHEEL_PRIMES = (3, 5, 7, 11, 13)
 WHEEL = math.prod(WHEEL_PRIMES)  # the flag of odd n depends on n // 2 mod WHEEL alone
-
-
-def _small_primes(limit: int) -> np.ndarray:
-    """Monolithic sieve up to limit inclusive (used for base primes)."""
-    if limit < 2:
-        return np.array([], dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
 
 
 @lru_cache(maxsize=1)
@@ -70,38 +57,20 @@ def _sieve_segment(lo: int, hi: int, odd_base: np.ndarray) -> np.ndarray:
     return flags
 
 
-@dataclass(frozen=True)
-class SieveSegment:
-    """Primality flags for the odd numbers in [lo, hi)."""
-
-    lo: int
-    hi: int
-    flags: np.ndarray  # flags[i] marks lo + 2*i (lo odd)
-
-    def primes(self) -> np.ndarray:
-        return self.lo + 2 * np.flatnonzero(self.flags).astype(np.int64)
-
-
-def segments(x: int, segment_size: int = SEGMENT_SIZE) -> Iterator[SieveSegment]:
-    """Odd-only sieve segments covering [3, x], ascending."""
+def prime_arrays(x: int) -> Iterator[np.ndarray]:
+    """Primes <= x as ascending int64 arrays, one per segment; x above
+    PRIME_CAP is refused before the first array."""
     if x > PRIME_CAP:
         raise CapacityError(f"x = {x} exceeds the prime cap {PRIME_CAP}")
-    if x < 3:
+    if x < 2:
         return
-    base = _small_primes(math.isqrt(x))
+    yield np.array([2], dtype=np.int64)
+    base = np.concatenate([np.zeros(0, dtype=np.int64), *prime_arrays(math.isqrt(x))])
     odd_base = base[base > WHEEL_PRIMES[-1]]
     lo = 3
     while lo <= x:
-        hi = min(lo + 2 * segment_size, x + 1)
-        yield SieveSegment(lo=lo, hi=hi, flags=_sieve_segment(lo, hi, odd_base))
-        lo = hi if hi % 2 == 1 else hi + 1
-
-
-def prime_arrays(x: int) -> Iterator[np.ndarray]:
-    """Primes <= x as ascending int64 arrays, one per segment."""
-    if x >= 2:
-        yield np.array([2], dtype=np.int64)
-    for seg in segments(x):
-        arr = seg.primes()
+        hi = min(lo + 2 * SEGMENT_SIZE, x + 1)
+        arr = lo + 2 * np.flatnonzero(_sieve_segment(lo, hi, odd_base))
         if len(arr):
             yield arr
+        lo = hi if hi % 2 == 1 else hi + 1

@@ -155,6 +155,12 @@ def test_decay_report(tmp_path):
     assert len(results["values"]) == 3
 
 
+@pytest.mark.parametrize("command", ["verify", "constants", "equidist", "expsum", "typesums", "decay"])
+def test_bare_subcommand_takes_runconfig_defaults(command):
+    args = cli.build_parser().parse_args([command])
+    assert cli.config_from_args(args) == cli.RunConfig(command)
+
+
 def test_usage_errors():
     assert cli.main(["equidist", "--gamma", "0.5"]) == cli.EXIT_USAGE
     assert cli.main(["nonsense"]) == cli.EXIT_USAGE

@@ -245,6 +245,19 @@ def test_almost_ap_l2():
         fourier.almost_ap_l2_sum(TM, 0, 4, 16.0, 0.0)
 
 
+def test_max_abs_F_at_a_coarse_grid():
+    # at q = 8, lam = 5 the grid step is 0.2 and the grid's best point lies in
+    # another lobe of |F_5| than its maximum 0.2606724..., at t ~ 5193.6617
+    f = make_digit_exponential(8, Fraction(1, 5))
+    sup = fourier.max_abs_F(f, 5)
+    assert sup >= 0.2606724
+    dense = max(  # step 1/64
+        float(np.max(np.abs(fourier.eval_F(f, 5, start + np.arange(1 << 16) / 64.0))))
+        for start in range(0, 8**5, 1 << 10)
+    )
+    assert sup >= dense - 1e-12
+
+
 def test_large_sieve():
     value, bound = fourier.large_sieve_sum(TM, 0, 6, [0.37], 0.5)
     assert value <= 1.0 + 1e-12 < bound

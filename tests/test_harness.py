@@ -538,8 +538,6 @@ def test_vaughan_probe_evaluates_its_window_once(monkeypatch):
 def test_vaughan_probe_validation():
     with pytest.raises(PreconditionError):
         harness.vaughan_probe(3, 2, TM, 0.0)
-    with pytest.raises(PreconditionError):
-        harness.vaughan_probe(10**4, 2, TM, 0.0, beta1=0.5)
 
 
 def test_type_sum_reproducibility():

@@ -66,44 +66,54 @@ def test_small_x_against_trial_division():
         assert _primes(x) == _trial_division_primes(x), x
 
 
-@pytest.mark.parametrize("segment_size", [1000, 1 << 16, sieve.SUB_BLOCK + 1, sieve.SEGMENT_SIZE])
-def test_segments_match_monolithic(segment_size):
-    # segment starts at many offsets mod the wheel period, segments across
-    # sub-block edges, and a last sub-block of one flag
-    x = 3 * 10**6
+def _monolithic_flags(x):
     flags = np.ones(x + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(x) + 1):
         if flags[p]:
             flags[p * p :: p] = False
+    return flags
+
+
+def _segment_arrays(x, segment_size):
+    """(lo, hi, primes) of each odd segment [lo, hi) after the array [2]; no
+    segment below 3 * 10**6 is free of primes, so none is skipped."""
+    arrays = sieve.prime_arrays(x)
+    assert next(arrays).tolist() == [2]
     lo = 3
-    for seg in sieve.segments(x, segment_size):
-        assert (seg.lo, seg.hi) == (lo, min(lo + 2 * segment_size, x + 1))
-        assert np.array_equal(seg.flags, flags[seg.lo : seg.hi : 2])
-        lo = seg.hi if seg.hi % 2 else seg.hi + 1
+    for arr in arrays:
+        hi = min(lo + 2 * segment_size, x + 1)
+        yield lo, hi, arr
+        lo = hi if hi % 2 else hi + 1
     assert lo > x
+
+
+@pytest.mark.parametrize("segment_size", [1000, 1 << 16, sieve.SUB_BLOCK + 1, sieve.SEGMENT_SIZE])
+def test_segments_match_monolithic(segment_size, monkeypatch):
+    # segment starts at many offsets mod the wheel period, segments across
+    # sub-block edges, and a last sub-block of one flag
+    x = 3 * 10**6
+    flags = _monolithic_flags(x)
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", segment_size)
+    for lo, hi, arr in _segment_arrays(x, segment_size):
+        assert arr.dtype == np.int64
+        assert np.array_equal(arr, lo + np.flatnonzero(flags[lo:hi]))
 
 
 def test_segmented_matches_monolithic_to_1e6():
     segmented = np.concatenate(list(sieve.prime_arrays(10**6)))
-    flags = np.ones(10**6 + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, 1001):
-        if flags[p]:
-            flags[p * p :: p] = False
-    assert np.array_equal(segmented, np.flatnonzero(flags))
+    assert np.array_equal(segmented, np.flatnonzero(_monolithic_flags(10**6)))
 
 
-def test_segment_flags_spot_checks():
+def test_segment_flags_spot_checks(monkeypatch):
     rng = np.random.default_rng(12)
-    for seg in sieve.segments(10**6, segment_size=1 << 16):
-        odd_values = seg.lo + 2 * np.arange(len(seg.flags))
-        picks = rng.integers(0, len(seg.flags), size=min(50, len(seg.flags)))
-        for i in picks:
-            n = int(odd_values[i])
-            is_prime = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
-            assert bool(seg.flags[i]) == is_prime
-        if seg.hi > 10**5:
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 1 << 16)
+    for lo, hi, arr in _segment_arrays(10**6, 1 << 16):
+        picks = lo + 2 * rng.integers(0, (hi - lo + 1) // 2, size=50)
+        for n in picks.tolist():
+            is_prime = all(n % d for d in range(2, math.isqrt(n) + 1))
+            assert (n in arr) == is_prime
+        if hi > 10**5:
             break
 
 
@@ -113,8 +123,9 @@ def test_prime_counts(x, count):
 
 
 def test_prime_cap():
+    # refused on the first next(), before the array [2]
     with pytest.raises(CapacityError):
-        list(sieve.prime_arrays(2 * 10**9))
+        next(sieve.prime_arrays(2 * 10**9))
 
 
 def test_mangoldt_point_values():
