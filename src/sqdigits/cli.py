@@ -30,7 +30,6 @@ import re
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -163,11 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The flags of one subcommand; the fields it has no flag for keep their defaults."""
-    return RunConfig(**vars(args))
-
-
 def _check_row(suite: str, label: str, exact: float, bound: float, kind: str, tol: float) -> dict:
     """The report row of one verified instance: kind "upper" checks exact <= bound,
     kind "identity" checks exact == bound, each within tol."""
@@ -203,6 +197,8 @@ def check_config(config: RunConfig) -> None:
     """
     command, q = config.command, config.q
     if config.output_path != "-":
+        if os.path.isdir(config.output_path):
+            raise PreconditionError(f"cannot write {config.output_path!r}: it is a directory")
         out_dir = os.path.dirname(os.path.abspath(config.output_path))
         if not os.path.isdir(out_dir):
             raise PreconditionError(f"cannot write {config.output_path!r}: no directory {out_dir!r}")
@@ -393,6 +389,8 @@ def _constants_results(config: RunConfig) -> dict:
             "c(f) is undefined",
         }
     sc = fourier.compute_constants(f)
+    c_bound = fourier.c_lower_bound_digit_sum(q, gamma)
+    eta_bound = fourier.eta_upper_bound_digit_sum(q)
     return {
         "q": q,
         "gamma": config.gamma,
@@ -402,11 +400,11 @@ def _constants_results(config: RunConfig) -> dict:
         "argmax_c": sc.argmax_c,
         "argmax_eta": sc.argmax_eta,
         "grid_size": sc.grid_size,
-        "c_lower_bound": fourier.c_lower_bound_digit_sum(q, gamma),
-        "eta_upper_bound": fourier.eta_upper_bound_digit_sum(q),
+        "c_lower_bound": c_bound,
+        "eta_upper_bound": eta_bound,
         "norm_q_minus_1_gamma": _circle_distance((q - 1) * gamma),
-        "c_bound_holds": sc.c >= fourier.c_lower_bound_digit_sum(q, gamma) - 1e-9,
-        "eta_bound_holds": sc.eta <= fourier.eta_upper_bound_digit_sum(q) + 1e-9,
+        "c_bound_holds": sc.c >= c_bound - 1e-9,
+        "eta_bound_holds": sc.eta <= eta_bound + 1e-9,
     }
 
 
@@ -530,7 +528,7 @@ def run(config: RunConfig) -> int:
 
 def _write_report(report: dict, config: RunConfig) -> None:
     if config.format == "json":
-        text = _json_text(report) + "\n"
+        text = json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
     else:
         text = _to_csv(report)
     if config.output_path == "-":
@@ -541,47 +539,6 @@ def _write_report(report: dict, config: RunConfig) -> None:
                 fh.write(text)
         except OSError as exc:
             raise PreconditionError(f"cannot write {config.output_path!r}: {exc.strerror}") from exc
-
-
-def _json_text(obj, indent: str = "\n") -> str:
-    """json.dumps(obj, sort_keys=True, indent=2, default=_json_default), byte
-    for byte, without the pure-Python encoder that dumps runs under indent.
-
-    indent is the newline and indentation in front of obj's own line.  Keys
-    must be strings, which every report's are.
-    """
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if obj != obj:
-            return "NaN"
-        if obj == math.inf:
-            return "Infinity"
-        if obj == -math.inf:
-            return "-Infinity"
-        return float.__repr__(obj)
-    inner = indent + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_json_text(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    return _json_text(_json_default(obj), indent)
 
 
 def _json_default(obj):
@@ -624,7 +581,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    config = config_from_args(args)
+    config = RunConfig(**vars(args))  # a flag left out keeps its RunConfig default
     try:
         return run(config)
     except CapacityError as exc:

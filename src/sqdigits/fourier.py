@@ -48,13 +48,9 @@ def _table_points(q: int, lam: int) -> int:
     return qlam
 
 
-def _as_array(t) -> np.ndarray:
-    return np.asarray(t, dtype=np.float64)
-
-
 def eval_F1(f: StronglyQMultiplicative, t) -> np.ndarray | complex:
     """F_1(t) = (1/q) sum_u f(u) e(-t*u/q), vectorized over t."""
-    arr = _as_array(t)
+    arr = np.asarray(t, dtype=np.float64)
     w = np.exp(-2j * math.pi * arr / f.q)
     vals = f.digit_values
     acc = np.full(arr.shape, vals[f.q - 1], dtype=np.complex128)
@@ -71,7 +67,7 @@ def eval_F(f: StronglyQMultiplicative, lam: int, t) -> np.ndarray | complex:
     """F_lam(t) by the single-digit product formula, vectorized over t."""
     if lam < 0:
         raise ValueError(f"window length must be >= 0, got {lam}")
-    arr = _as_array(t)
+    arr = np.asarray(t, dtype=np.float64)
     out = np.ones(arr.shape, dtype=np.complex128)
     for level in range(lam):
         out *= eval_F1(f, arr / f.q**level)
@@ -254,7 +250,7 @@ def _grid_refine_max(fun_vec, lo: float, hi: float, n: int) -> tuple[float, floa
 
 def psi_q(f: StronglyQMultiplicative, t) -> np.ndarray:
     """Psi_q(t) = sum_{0<=r<q} |F_1(q t + r)|, vectorized over t."""
-    arr = _as_array(t)
+    arr = np.asarray(t, dtype=np.float64)
     total = np.zeros(arr.shape, dtype=np.float64)
     for r in range(f.q):
         total += np.abs(eval_F1(f, f.q * arr + r))

@@ -158,7 +158,7 @@ def test_decay_report(tmp_path):
 @pytest.mark.parametrize("command", ["verify", "constants", "equidist", "expsum", "typesums", "decay"])
 def test_bare_subcommand_takes_runconfig_defaults(command):
     args = cli.build_parser().parse_args([command])
-    assert cli.config_from_args(args) == cli.RunConfig(command)
+    assert cli.RunConfig(**vars(args)) == cli.RunConfig(command)
 
 
 def test_usage_errors():
@@ -229,37 +229,21 @@ REPORT_ARGV = (
 )
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, default=cli._json_default)
-
-
-def test_json_text_matches_json_dumps(tmp_path, monkeypatch):
-    reports = []
-    write_report = cli._write_report
-
-    def capture(report, config):
-        reports.append(report)
-        write_report(report, config)
-
-    monkeypatch.setattr(cli, "_write_report", capture)
+def test_report_text_is_sorted_indented_json(tmp_path):
+    # a report is the text of json.dumps(sort_keys=True, indent=2) plus a newline;
+    # _json_default carries the values JSON has no type for
     for argv in REPORT_ARGV:
         code, out = run_cli(argv, tmp_path)
         assert code == cli.EXIT_OK
-        assert cli._json_text(reports[-1]) == _dumps(reports[-1])
-        assert out.read_text() == _dumps(reports[-1]) + "\n"
-    odd = {
-        "quote\" back\\slash \n\t\x00\x1f\x7f": ["caf\u00e9", "\u4e2d", "\U0001f600", ""],
-        "floats": [math.nan, math.inf, -math.inf, -0.0, 0.1, 1e300, 5e-324],
-        "ints": [0, -1, 2**70, -(2**70), True, False, None],
-        "complex": [1 + 2j, complex(math.inf, -0.0)],
-        "numpy": [np.float64(0.1), np.float32(0.5), np.int64(-3), np.uint8(7)],
-        "empty": [{}, [], (), ""],
-        "nested": {"b": [{"z": {}, "a": [[]]}], "a": (1, (2.5,))},
-        "": {},
-    }
-    assert cli._json_text(odd) == _dumps(odd)
-    for scalar in ("x", 1, 1.5, None, math.nan, [], {}):
-        assert cli._json_text(scalar) == _dumps(scalar)
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    re_im = cli._json_default(complex(math.inf, -0.0))
+    assert re_im == {"re": math.inf, "im": -0.0} and math.copysign(1.0, re_im["im"]) == -1.0
+    for scalar, value in ((np.float32(0.5), 0.5), (np.int64(-3), -3), (np.uint8(7), 7)):
+        converted = cli._json_default(scalar)
+        assert converted == value and type(converted) is type(value)
+    with pytest.raises(TypeError):
+        cli._json_default(object())
 
 
 # argv that check_config refuses at once: (argv, exit code, a part of the
@@ -324,7 +308,7 @@ def test_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys):
     assert cli.main(["typesums", "--output", str(missing)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert str(missing) in err and "Traceback" not in err
-    # a directory in place of a file only fails when the report is written
+    monkeypatch.setattr(cli, "_constants_results", no_work)
     assert cli.main(["constants", "--q", "2", "--output", str(tmp_path)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert str(tmp_path) in err and "Traceback" not in err

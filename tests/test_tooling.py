@@ -1,4 +1,4 @@
-"""Source hygiene: every private module-level name of the package is used."""
+"""Source hygiene: every private module-level name and every import of the package is used."""
 
 import ast
 import re
@@ -31,3 +31,27 @@ def test_no_dead_private_helpers():
         and len(re.findall(rf"\b{re.escape(name)}\b", text)) < 2
     ]
     assert dead == []
+
+
+def _module_imports(tree):
+    """The names a module's top-level imports bind, except from __future__."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def test_no_unused_imports():
+    # __init__.py imports to re-export; every other module uses what it imports
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        # the base of an attribute (np in np.asarray) is itself an ast.Name
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in _module_imports(tree) if name not in used]
+    assert unused == []
