@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -92,16 +92,12 @@ def build_table(f: StronglyQMultiplicative, lam: int) -> np.ndarray:
     return values
 
 
-# both tables of every level of the deepest sweep (q = 2, 2**lam = TABLE_CAPACITY)
-@lru_cache(maxsize=2 * (TABLE_CAPACITY.bit_length() - 1))
-def _trig_tables(n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos(pi a / n), sin(pi a / n) for a < count.
+SWEEP_BLOCK = 1 << 16  # entries of a quadratic-mean level per numpy call
 
-    A quadratic-mean level of size n = q*m reads two of them, (m, m) and
-    (n, m), each 1/q of the level; the cache holds both tables of every
-    level, so repeated sweeps of one (q, lam) rebuild nothing.
-    """
-    ang = np.pi * np.arange(count, dtype=np.float64) / n
+
+def _angle_table(lo: int, hi: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(pi a / n), sin(pi a / n) for lo <= a < hi."""
+    ang = np.pi * np.arange(lo, hi, dtype=np.float64) / n
     return np.cos(ang), np.sin(ang)
 
 
@@ -121,57 +117,102 @@ def _centered(x: float) -> float:
     return x - 2.0 * round(x / 2.0)
 
 
-def _shifted_sin(
-    x: float, tables: tuple[np.ndarray, np.ndarray], out: np.ndarray, tmp: np.ndarray
-) -> np.ndarray:
-    """sin(x - pi a/n) over the tabled a, by angle addition, written to out."""
-    cos_a, sin_a = tables
-    np.multiply(cos_a, math.sin(x), out=out)
-    out -= np.multiply(sin_a, math.cos(x), out=tmp)
+def _shifted_sin(sin_x, cos_x, table: tuple[np.ndarray, np.ndarray], out: np.ndarray) -> np.ndarray:
+    """sin(x - pi a/n) over the tabled a, by angle addition, written to out.
+
+    sin_x and cos_x are scalars, or columns with one x per row of out.
+    """
+    cos_a, sin_a = table
+    np.multiply(cos_a, sin_x, out=out)
+    out -= sin_a * cos_x
     return out
 
 
-def _quadratic_mean_digit_exp(q: int, gamma: float, lam: int, t: float) -> list[float]:
+def _digit_exp_rows(q: int, gamma: float, t: float, level: int, lo: int, hi: int, prev: np.ndarray):
     """Closed form |F_1(s)|^2 = (sin(pi q y) / (q sin(pi y)))^2, y = gamma - s/q.
 
-    Level l runs over a = b * m + k (b < q, k < m = q**l, n = q*m) one row
-    b at a time, so its temporaries are m long, not n.  The numerator
-    sin^2(pi (q gamma - (t+a)/m)) and the previous partial products depend
-    on k only and are shared by the q rows.  Row b divides them by den^2,
-    den = sin(pi x_b - pi k/n) with x_b = gamma - t/n - b/q (sin first, then
-    squared, so the relative error stays ~1 ulp right where the Dirichlet
-    ratio amplifies it).  Every scalar offset is reduced to [-1, 1] before
-    it is multiplied by pi: offsets formed or reduced any other way lose
-    the 1e-13 accuracy of the sums.  S_l adds the row sums in row order;
-    the last level keeps only those sums and never holds its n products.
+    The numerator sin^2(pi (q gamma - (t+a)/m)), a = b*m + k, and the
+    previous partial products depend on k only, so they are formed once
+    for the block's k in [lo, hi) and shared by its rows.  Row b divides
+    them by den^2, den = sin(pi x_b - pi k/n) with x_b = gamma - t/n - b/q
+    (sin first, then squared, so the relative error stays ~1 ulp right
+    where the Dirichlet ratio amplifies it).  Every scalar offset is
+    reduced to [-1, 1] before it is multiplied by pi: offsets formed or
+    reduced any other way lose the 1e-13 accuracy of the sums.
+    """
+    m = q**level
+    n = q * m
+    x = math.pi * _centered(q * gamma - t / m)
+    weight = _shifted_sin(math.sin(x), math.cos(x), _angle_table(lo, hi, m), np.empty(hi - lo))
+    np.square(weight, out=weight)
+    weight *= 1.0 / (q * q)
+    weight *= prev
+    den_table = _angle_table(lo, hi, n)
+
+    def rows(b0: int, b1: int, out: np.ndarray) -> None:
+        xs = [math.pi * _centered(gamma - t / n - b / q) for b in range(b0, b1)]
+        sin_x = np.array([math.sin(x_b) for x_b in xs])[:, None]
+        cos_x = np.array([math.cos(x_b) for x_b in xs])[:, None]
+        den = _shifted_sin(sin_x, cos_x, den_table, out)
+        limit = np.square(den, out=den) < 1e-12
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(weight, den, out=den)
+        # Dirichlet-kernel limit |F_1| -> 1 at integer argument
+        np.copyto(den, prev, where=limit)
+
+    return rows
+
+
+def _generic_rows(
+    f: StronglyQMultiplicative, t: float, level: int, lo: int, hi: int, prev: np.ndarray
+):
+    """|F_1((t+a)/q**level)|^2 by eval_F1, a = b*m + k, for f with no closed form."""
+    m = f.q**level
+    k = np.arange(lo, hi, dtype=np.float64)
+
+    def rows(b0: int, b1: int, out: np.ndarray) -> None:
+        a = m * np.arange(b0, b1, dtype=np.float64)[:, None] + k
+        np.multiply(prev, np.abs(eval_F1(f, (t + a) / m)) ** 2, out=out)
+
+    return rows
+
+
+def _level_sweep(q: int, lam: int, block_rows) -> list[float]:
+    """[S_1, ..., S_lam] by the tiled product recursion, in bounded blocks.
+
+    Level l has n = q*m entries a = b*m + k (row b < q, k < m = q**l); entry
+    a of its partial products is the previous level's entry k times
+    |F_1((t+a)/m)|^2.  The level is walked in blocks of at most SWEEP_BLOCK
+    entries: k in [lo, hi) of width min(m, SWEEP_BLOCK), and as many whole
+    rows as fit when m is smaller.  ``block_rows(level, lo, hi, prev)``
+    forms what the block's rows share and returns ``rows(b0, b1, out)``,
+    which writes the products of rows b0 <= b < b1 to out.  Every
+    temporary is one block long; only the previous level's products and
+    the ones being built are level-sized, and the last level keeps only its
+    sums.  Each row sum adds its block sums in k order and S_l adds the
+    row sums in row order, so a level whose m fits in one block is summed
+    exactly as one full row at a time.
     """
     sums: list[float] = []
-    partial = np.ones(1, dtype=np.float64)
-    inv_q2 = 1.0 / (q * q)
+    prev = np.ones(1, dtype=np.float64)
     for level in range(lam):
         m = q**level
-        n = q * m
-        tmp = np.empty(m, dtype=np.float64)
-        x = math.pi * _centered(q * gamma - t / m)
-        weight = _shifted_sin(x, _trig_tables(m, m), np.empty(m, dtype=np.float64), tmp)
-        np.square(weight, out=weight)
-        weight *= inv_q2
-        weight *= partial
+        width = min(m, SWEEP_BLOCK)
+        height = max(1, SWEEP_BLOCK // m)
         last = level == lam - 1
-        rows = np.empty(m if last else (q, m), dtype=np.float64)
-        den_tables = _trig_tables(n, m)
-        total = 0.0
-        for b in range(q):
-            x_b = math.pi * _centered(gamma - t / n - b / q)
-            den = _shifted_sin(x_b, den_tables, rows if last else rows[b], tmp)
-            limit = np.square(den, out=den) < 1e-12
-            with np.errstate(divide="ignore", invalid="ignore"):
-                terms = np.divide(weight, den, out=den)
-            # Dirichlet-kernel limit |F_1| -> 1 at integer argument
-            np.copyto(terms, partial, where=limit)
-            total += float(terms.sum())
-        sums.append(total)
-        partial = rows.reshape(-1)
+        products = np.empty((height, width) if last else (q, m), dtype=np.float64)
+        row_sums = np.zeros(q, dtype=np.float64)
+        for lo in range(0, m, width):
+            hi = min(lo + width, m)
+            rows = block_rows(level, lo, hi, prev[lo:hi])
+            for b0 in range(0, q, height):
+                b1 = min(b0 + height, q)
+                out = products[: b1 - b0, : hi - lo] if last else products[b0:b1, lo:hi]
+                rows(b0, b1, out)
+                row_sums[b0:b1] += out.sum(axis=1)
+        sums.append(float(np.cumsum(row_sums)[-1]))  # sequential, in row order, unlike sum()
+        del rows  # it holds a slice of prev, which would keep all of prev alive
+        prev = products.reshape(-1)
     return sums
 
 
@@ -179,28 +220,20 @@ def quadratic_mean(f: StronglyQMultiplicative, lam: int, t: float) -> list[float
     """[S_1, ..., S_lam] with S_l = sum_{0<=h<q**l} |F_l(t+h)|**2.
 
     Uses the tiled product structure: the factor |F_1((t+h)/q**j)|**2
-    depends only on h mod q**(j+1), so each window length is one tile and
-    multiply pass, and all S_l for l <= lam come out of a single sweep.
-    Digit exponentials take a vectorized numpy sweep through the closed
-    Dirichlet form of |F_1|^2; everything else runs the generic product
-    path.  The two paths agree to machine precision (cross-checked level
-    by level in the tests).
+    depends only on h mod q**(j+1), so all S_l for l <= lam come out of one
+    blocked sweep (``_level_sweep``) that holds two levels of partial
+    products and block-long temporaries, and keeps nothing between calls.
+    Digit exponentials take the factor from the closed Dirichlet form of
+    |F_1|^2; everything else from eval_F1.  The two formulas agree to
+    machine precision (cross-checked level by level in the tests).
     """
     q = f.q
     _table_points(q, lam)
     t = t % 1.0  # S_l has exact period 1; reduction keeps every phase small
     gamma = _digit_exponential_gamma(f)
     if gamma is not None:
-        return _quadratic_mean_digit_exp(q, gamma, lam, t)
-    sums: list[float] = []
-    partial = np.ones(1, dtype=np.float64)
-    for level in range(lam):
-        size = q ** (level + 1)
-        a = np.arange(size, dtype=np.float64)
-        factor = np.abs(eval_F1(f, (t + a) / q**level)) ** 2
-        partial = np.tile(partial, q) * factor
-        sums.append(float(partial.sum()))
-    return sums
+        return _level_sweep(q, lam, partial(_digit_exp_rows, q, gamma, t))
+    return _level_sweep(q, lam, partial(_generic_rows, f, t))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 Nothing in the library calls these: the von Mangoldt function by k-th root
 extraction and trial division, the Fourier transform F_lam by its
-defining O(q**lam) sum over a digit-by-digit table of f, and the Vaaler
-kernel coefficients one h at a time in scalar math/cmath arithmetic.
+defining O(q**lam) sum over a digit-by-digit table of f, the quadratic
+means of a digit exponential one full row at a time over whole-row
+sine/cosine tables, and the Vaaler kernel coefficients one h at a time in
+scalar math/cmath arithmetic.
 """
 
 from __future__ import annotations
@@ -73,6 +75,49 @@ def eval_F_direct(f: StronglyQMultiplicative, lam: int, t) -> complex:
     u = np.arange(qlam)
     fu = np.array([complex(v) for v in _digit_value_table(f, lam)])
     return complex(np.sum(fu * np.exp(-2j * math.pi * float(t) * u / qlam)) / qlam)
+
+
+def quadratic_mean_rows(q: int, gamma: float, lam: int, t: float) -> list[float]:
+    """[S_1, ..., S_lam] of e(gamma * s_q) at t in [0, 1), one row at a time.
+
+    The closed form of fourier's digit-exponential rows, with every row of
+    a level taken whole: at level l (m = q**l, n = q*m) the numerator and
+    each row's denominator read cos/sin(pi a / m) and cos/sin(pi a / n) for
+    all a < m at once, and S_l adds the q row sums in row order.
+    """
+
+    def centered(x: float) -> float:
+        return x - 2.0 * round(x / 2.0)
+
+    def tables(n: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        ang = np.pi * np.arange(count, dtype=np.float64) / n
+        return np.cos(ang), np.sin(ang)
+
+    sums: list[float] = []
+    partial = np.ones(1, dtype=np.float64)
+    for level in range(lam):
+        m = q**level
+        n = q * m
+        x = math.pi * centered(q * gamma - t / m)
+        cos_a, sin_a = tables(m, m)
+        weight = (cos_a * math.sin(x) - sin_a * math.cos(x)) ** 2
+        weight *= 1.0 / (q * q)
+        weight *= partial
+        cos_a, sin_a = tables(n, m)
+        rows = np.empty((q, m), dtype=np.float64)
+        total = 0.0
+        for b in range(q):
+            x_b = math.pi * centered(gamma - t / n - b / q)
+            den = (cos_a * math.sin(x_b) - sin_a * math.cos(x_b)) ** 2
+            limit = den < 1e-12
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rows[b] = weight / den
+            # Dirichlet-kernel limit |F_1| -> 1 at integer argument
+            np.copyto(rows[b], partial, where=limit)
+            total += float(rows[b].sum())
+        sums.append(total)
+        partial = rows.reshape(-1)
+    return sums
 
 
 def coeff_chi_star(alpha: float, h: int) -> float:

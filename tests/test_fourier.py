@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import _digit_value_table, eval_F_direct
+from oracles import _digit_value_table, eval_F_direct, quadratic_mean_rows
 
 from sqdigits import fourier
 from sqdigits.errors import CapacityError, DomainError, PreconditionError
@@ -149,19 +149,78 @@ def test_quadratic_mean_fast_path_matches_generic(monkeypatch):
         assert abs(fast[-1] - math.fsum(partial)) < 1e-11
 
 
+GENERIC3 = StronglyQMultiplicative(3, (Fraction(0), Fraction(1, 7), Fraction(2, 5)))
+
+
 def test_quadratic_mean_sweep_memory():
-    # each level's temporaries and cached tables are m = n/q long; with
-    # n-long ones the peak of this sweep was 382 MiB
-    fourier._trig_tables.cache_clear()
-    f = make_digit_exponential(5, Fraction(1, 3))
+    # two levels of partial products plus block-long temporaries; with a
+    # whole level at once these sweeps peaked at 149 and 243 MiB
+    for f, lam in ((make_digit_exponential(5, Fraction(1, 3)), 10), (GENERIC3, 14)):
+        tracemalloc.start()
+        try:
+            sums = fourier.quadratic_mean(f, lam, 0.7071)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert max(abs(s - 1.0) for s in sums) < 1e-13
+        assert peak <= 32 * 2**20
+
+
+def test_quadratic_mean_keeps_nothing_between_calls():
+    # a cache of any per-level table would be megabytes at 6**8; no other
+    # test sweeps q = 6, so no earlier test can have filled one
+    f = make_digit_exponential(6, Fraction(1, 5))
     tracemalloc.start()
     try:
-        sums = fourier.quadratic_mean(f, 10, 0.7071)
-        _, peak = tracemalloc.get_traced_memory()
+        before, _ = tracemalloc.get_traced_memory()
+        fourier.quadratic_mean(f, 8, 0.25)
+        fourier.quadratic_mean(f, 8, 0.75)
+        after, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert max(abs(s - 1.0) for s in sums) < 1e-13
-    assert peak <= 200 * 2**20
+    assert after - before < 2**16
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 8])
+def test_quadratic_mean_matches_row_oracle_bitwise(q):
+    # every level verify reaches (q**(lam+1) <= 2**14) fits in one block,
+    # where the blocked sweep must add exactly as the whole-row one
+    lam = 1
+    while q ** (lam + 1) <= 2**14:
+        lam += 1
+    assert q ** (lam - 1) <= fourier.SWEEP_BLOCK
+    rng = np.random.default_rng(q)
+    for gamma in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 7)):
+        f = make_digit_exponential(q, gamma)
+        for t in [0.0, *rng.random(3)]:
+            rows = quadratic_mean_rows(q, float(gamma), lam, float(t))
+            assert fourier.quadratic_mean(f, lam, float(t)) == rows
+
+
+@pytest.mark.parametrize("q,lam", [(2, 19), (5, 9)])
+def test_quadratic_mean_matches_row_oracle_beyond_one_block(q, lam):
+    # rows longer than a block add their block sums in order instead
+    assert q ** (lam - 1) > fourier.SWEEP_BLOCK
+    fast = fourier.quadratic_mean(make_digit_exponential(q, Fraction(1, 3)), lam, 0.7071)
+    rows = quadratic_mean_rows(q, 1.0 / 3.0, lam, 0.7071)
+    assert max(abs(a - b) for a, b in zip(fast, rows)) <= 1e-15
+
+
+def test_quadratic_mean_groups_short_rows(monkeypatch):
+    # at lam = 1 every row is one entry long: whole rows share a block, so
+    # the 2**16 rows take one numerator and one denominator call, not 2**16
+    calls = 0
+    shifted_sin = fourier._shifted_sin
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return shifted_sin(*args)
+
+    monkeypatch.setattr(fourier, "_shifted_sin", counted)
+    sums = fourier.quadratic_mean(make_digit_exponential(2**16, Fraction(1, 3)), 1, 0.4)
+    assert abs(sums[0] - 1.0) < 1e-12
+    assert calls <= 4
 
 
 def test_quadratic_mean_near_dirichlet_poles():
@@ -175,8 +234,7 @@ def test_quadratic_mean_near_dirichlet_poles():
 
 
 def test_quadratic_mean_generic_phases():
-    f = StronglyQMultiplicative(3, (Fraction(0), Fraction(1, 7), Fraction(2, 5)))
-    sums = fourier.quadratic_mean(f, 6, 0.123)
+    sums = fourier.quadratic_mean(GENERIC3, 6, 0.123)
     assert max(abs(s - 1.0) for s in sums) < 1e-9
 
 
