@@ -32,13 +32,13 @@ def main() -> None:
         for _ in range(args.draws):
             a = np.exp(2j * np.pi * rng.random(2**mu - 2 ** (mu - 1)))
             b = np.exp(2j * np.pi * rng.random(2**nu - 2 ** (nu - 1)))
-            s, _, _ = type_sums(mu, nu, 2, f, 0.0, a, b)
+            s, _, _ = type_sums(mu, nu, f, 0.0, a, b)
             vals.append(abs(s) / 2 ** (mu + nu))
         print(f"  (mu,nu)=({mu},{nu}):  mean |S20|/q^(mu+nu) = {np.mean(vals):.6f}")
 
     print("type I, full intervals:")
     for mu, nu in ((3, 12), (3, 14), (3, 16)):
-        _, si, _ = type_sums(mu, nu, 2, f, 0.0, np.ones(2 ** (mu - 1)), np.ones(2 ** (nu - 1)))
+        _, si, _ = type_sums(mu, nu, f, 0.0, np.ones(2 ** (mu - 1)), np.ones(2 ** (nu - 1)))
         print(f"  (mu,nu)=({mu},{nu}):  S_I/q^(mu+nu) = {si / 2 ** (mu + nu):.6f}")
 
     print("vaughan probe (fitted C of the combinatorial identity):")

@@ -480,7 +480,7 @@ def _typesums_results(config: RunConfig) -> dict:
     plan = harness.type2_plan(mu, nu, sc.c, sc.eta)
     a = np.exp(2j * np.pi * rng.random(rows))
     b = np.exp(2j * np.pi * rng.random(cols))
-    s20, si, si_max = harness.type_sums(mu, nu, q, f, config.theta, a, b)
+    s20, si, si_max = harness.type_sums(mu, nu, f, config.theta, a, b)
     return {
         "q": q,
         "mu": mu,

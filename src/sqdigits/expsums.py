@@ -95,7 +95,7 @@ def gauss_complete(a: int, b: int, m: int) -> BoundReport:
         raise ValueError(f"m must be >= 1, got {m}")
     a_red, b_red = a % m, b % m
     n = np.arange(m, dtype=np.int64)
-    residues = (a_red * n * n + b_red * n) % m
+    residues = (a_red * (n * n % m) + b_red * n) % m  # a_red*n*n overflows int64 from m ~ 2.1e6
     exact = abs(np.sum(np.exp(2j * np.pi * (residues / m))))
     bound = math.sqrt(2.0 * m * math.gcd(a, m))
     return BoundReport(float(exact), bound, explicit_constant=True)

@@ -32,7 +32,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import CapacityError, DomainError, PreconditionError
-from .qmult import StronglyQMultiplicative, _circle_distance, frac, is_proper, make_digit_exponential
+from .qmult import StronglyQMultiplicative, _circle_distance, _digit_step, frac, is_proper, make_digit_exponential
 
 TABLE_CAPACITY = 1 << 24
 GRID_DENSITY = 4096
@@ -99,17 +99,6 @@ def _angle_table(lo: int, hi: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """cos(pi a / n), sin(pi a / n) for lo <= a < hi."""
     ang = np.pi * np.arange(lo, hi, dtype=np.float64) / n
     return np.cos(ang), np.sin(ang)
-
-
-def _digit_exponential_gamma(f: StronglyQMultiplicative) -> float | None:
-    """gamma when f is e(gamma * s_q) with exact rational phases, else None."""
-    if not f.exact:
-        return None
-    gamma = f.phases[1]
-    for b in range(f.q):
-        if f.phases[b] != (gamma * b) % 1:
-            return None
-    return float(gamma)
 
 
 def _centered(x: float) -> float:
@@ -230,9 +219,9 @@ def quadratic_mean(f: StronglyQMultiplicative, lam: int, t: float) -> list[float
     q = f.q
     _table_points(q, lam)
     t = t % 1.0  # S_l has exact period 1; reduction keeps every phase small
-    gamma = _digit_exponential_gamma(f)
+    gamma = _digit_step(f)
     if gamma is not None:
-        return _level_sweep(q, lam, partial(_digit_exp_rows, q, gamma, t))
+        return _level_sweep(q, lam, partial(_digit_exp_rows, q, float(gamma), t))
     return _level_sweep(q, lam, partial(_generic_rows, f, t))
 
 

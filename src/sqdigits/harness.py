@@ -38,7 +38,7 @@ import numpy as np
 
 from .digits import checked_pow
 from .errors import CapacityError, PreconditionError
-from .qmult import StronglyQMultiplicative, _cached_numerators, frac
+from .qmult import StronglyQMultiplicative, frac
 from .sieve import prime_arrays
 
 LAMBDA_SUM_CAP = 10**8
@@ -78,7 +78,7 @@ def _sum_table(q: int) -> tuple[np.ndarray | None, int]:
 def _phase_table(f: StronglyQMultiplicative) -> tuple[np.ndarray, int, int | float]:
     """(table, q**k, modulus): numerators mod D, or float phases mod 1 where not exact."""
     if f.exact:
-        denom, nums = _cached_numerators(f)
+        denom, nums = f.numerators
         if denom < EXACT_DENOM_LIMIT:
             return (*_block_table(np.array(nums, dtype=np.int64), denom), denom)
     return (*_block_table(np.array([float(p) for p in f.phases]), 1.0), 1.0)
@@ -302,13 +302,12 @@ def rectangle_shape(q: int, mu: int, nu: int) -> tuple[int, int]:
 def type_sums(
     mu: int,
     nu: int,
-    q: int,
     f: StronglyQMultiplicative,
     theta: float,
     a: np.ndarray,
     b: np.ndarray,
 ) -> tuple[complex, float, float]:
-    """(S20, SI, SI_max) over the q-adic rectangle of rectangle_shape, with
+    """(S20, SI, SI_max) over the q-adic rectangle of rectangle_shape, q = f.q, with
     g(mn) = f(m^2 n^2) e(theta m n) built once as one dense block:
 
     * S20    = sum_m sum_n a_m b_n g(mn), the exact bilinear (type II) sum;
@@ -317,6 +316,7 @@ def type_sums(
       by its maximum over all suffix intervals: it only changes at integer
       endpoints, so scanning every cumulative suffix sum is exact.
     """
+    q = f.q
     rows, cols = rectangle_shape(q, mu, nu)
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)

@@ -23,7 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -74,9 +74,9 @@ class StronglyQMultiplicative:
             if not 0 <= p < 1:
                 raise ValueError(f"phases must lie in [0, 1), got {p}")
 
-    # exact, the hash and the digit values scan all q phases, so each is
-    # computed once per instance; phase_of, the cached digit tables and
-    # every eval_F1 call read them
+    # exact, the hash, the numerators and the digit values scan all q phases,
+    # so each is computed once per instance; phase_of, is_proper, the cached
+    # digit tables, the quadratic mean and every eval_F1 call read them
     @cached_property
     def exact(self) -> bool:
         """True when every phase is stored as an exact rational."""
@@ -90,15 +90,14 @@ class StronglyQMultiplicative:
         return self._hash
 
     @cached_property
+    def numerators(self) -> tuple[int, tuple[int, ...]]:
+        """(common denominator D, nums) with phases[b] = nums[b]/D; exact phases only."""
+        denom = math.lcm(*(p.denominator for p in self.phases))
+        return denom, tuple(p.numerator * (denom // p.denominator) for p in self.phases)
+
+    @cached_property
     def digit_values(self) -> tuple[complex, ...]:
         return tuple(e(float(p)) for p in self.phases)
-
-
-@lru_cache(maxsize=64)
-def _cached_numerators(f: StronglyQMultiplicative) -> tuple[int, tuple[int, ...]]:
-    """(common denominator D, numerators) with phases[b] = num[b]/D, exact path."""
-    denom = math.lcm(*(p.denominator for p in f.phases))
-    return denom, tuple(int(p * denom) for p in f.phases)
 
 
 def make_digit_exponential(q: int, gamma: Fraction | float) -> StronglyQMultiplicative:
@@ -130,32 +129,40 @@ def _circle_distance(x: Fraction | float) -> float:
     return abs(float(x - round(x)))
 
 
+def _digit_step(f: StronglyQMultiplicative) -> Fraction | None:
+    """gamma = phases[1] when f is the digit exponential e(gamma * s_q(n)) with
+    exact phases, else None.  One pass of integer comparisons over the
+    numerators: phases[b] = gamma*b mod 1 iff nums[b] = nums[1]*b mod D."""
+    if f.exact:
+        denom, nums = f.numerators
+        if all(nums[b] == nums[1] * b % denom for b in range(f.q)):
+            return f.phases[1]
+    return None
+
+
 def is_proper(f: StronglyQMultiplicative) -> bool:
     """False iff f(n) = e(gamma*n) for some gamma with (q-1)*gamma integral.
 
-    The only candidates have gamma = k/(q-1) mod 1, a finite set; f matches
-    one exactly when phases[b] = gamma*b mod 1 for every digit b.  Exact
-    decision for rational phases, tolerance 1e-10 otherwise.
+    Since n = s_q(n) mod q-1, such an f is the digit exponential of the same
+    gamma, one of the q-1 values k/(q-1) mod 1.  Exact phases are decided by
+    the integer test of _digit_step.  Float phases are improper when every
+    phases[b] lies within 1e-10 of gamma*b mod 1 on the circle; only the k
+    nearest (q-1)*phases[1] can pass at b = 1, so only that k is tried.
     """
     q = f.q
-    for k in range(q - 1):
-        gamma = Fraction(k, q - 1)
-        if f.exact:
-            if all(f.phases[b] == (gamma * b) % 1 for b in range(q)):
-                return False
-        else:
-            residual = max(
-                _circle_distance(float(f.phases[b]) - float(gamma * b))
-                for b in range(q)
-            )
-            if residual <= _PROPERNESS_TOL:
-                return False
-    return True
+    if f.exact:
+        gamma = _digit_step(f)
+        return gamma is None or (q - 1) % gamma.denominator != 0
+    gamma = Fraction(round((q - 1) * float(f.phases[1])) % (q - 1), q - 1)
+    return not all(
+        _circle_distance(float(f.phases[b]) - float(gamma * b)) <= _PROPERNESS_TOL
+        for b in range(q)
+    )
 
 
 def phase_of(f: StronglyQMultiplicative, n: int) -> Phase:
     """Accumulated phase of f(n) reduced mod 1 (exact for rational phases)."""
-    denom, weights = _cached_numerators(f) if f.exact else (1.0, f.phases)
+    denom, weights = f.numerators if f.exact else (1.0, f.phases)
     total = 0 * denom  # 0.0 for float phases, so a Fraction among them adds as a float
     for b in to_digits(n, f.q):  # added in order: sum() compensates float sums from 3.12 on
         total += weights[b]

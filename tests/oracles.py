@@ -1,7 +1,8 @@
 """Independent brute-force references for the tests.
 
 Nothing in the library calls these: the von Mangoldt function by k-th root
-extraction and trial division, the Fourier transform F_lam by its
+extraction and trial division, properness by trying every candidate
+gamma = k/(q-1) in Fraction arithmetic, the Fourier transform F_lam by its
 defining O(q**lam) sum over a digit-by-digit table of f, the quadratic
 means of a digit exponential one full row at a time over whole-row
 sine/cosine tables, and the Vaaler kernel coefficients one h at a time in
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -57,6 +59,24 @@ def mangoldt(n: int) -> float:
         if r**k == n and _is_prime(r):
             return math.log(r)
     return 0.0
+
+
+def is_proper(f: StronglyQMultiplicative) -> bool:
+    """False iff phases[b] = k*b/(q-1) mod 1 for every digit b, for some k < q-1:
+    exactly for Fraction phases, within 1e-10 on the circle for float ones."""
+    q = f.q
+    for k in range(q - 1):
+        gamma = Fraction(k, q - 1)
+        if f.exact:
+            if all(f.phases[b] == (gamma * b) % 1 for b in range(q)):
+                return False
+        else:
+            residual = max(
+                abs((d := float(f.phases[b]) - float(gamma * b)) - round(d)) for b in range(q)
+            )
+            if residual <= 1e-10:
+                return False
+    return True
 
 
 def _digit_value_table(f: StronglyQMultiplicative, lam: int) -> np.ndarray:

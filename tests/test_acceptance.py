@@ -291,13 +291,13 @@ def test_criterion_8_type_sums():
         for _ in range(8):
             a = np.exp(2j * np.pi * rng.random(2**mu - 2 ** (mu - 1)))
             b = np.exp(2j * np.pi * rng.random(2**nu - 2 ** (nu - 1)))
-            s, _, _ = harness.type_sums(mu, nu, 2, TM, 0.0, a, b)
+            s, _, _ = harness.type_sums(mu, nu, TM, 0.0, a, b)
             vals.append(abs(s) / 2 ** (mu + nu))
         s20_means.append(float(np.mean(vals)))
     s20_ok = s20_means[0] > s20_means[1] > s20_means[2]
 
     si_values = [
-        harness.type_sums(3, nu, 2, TM, 0.0, np.ones(4), np.ones(2 ** (nu - 1)))[1] / 2 ** (3 + nu)
+        harness.type_sums(3, nu, TM, 0.0, np.ones(4), np.ones(2 ** (nu - 1)))[1] / 2 ** (3 + nu)
         for nu in (12, 14, 16)
     ]
     si_ok = si_values[0] > si_values[1] > si_values[2]

@@ -69,6 +69,16 @@ def test_gauss_complete_exhaustive_small():
                 assert xs.gauss_complete(a, b, m).holds
 
 
+def test_gauss_complete_large_modulus_against_python_ints():
+    # a_red * n * n passes 2**63 near m = 2.1e6; the int64 path must reduce
+    # n*n first to match the Python-int sum of the same terms (true sum 0:
+    # m = 0 mod 4 and b odd)
+    m = 2_100_000
+    r = xs.gauss_complete(m - 1, 1, m)
+    reference = xs.gauss_incomplete(m - 1, 1, m, -1, m)
+    assert r.exact < 1e-6 and abs(r.exact - reference.exact) < 1e-6
+
+
 def test_gauss_incomplete():
     assert xs.gauss_incomplete(3, 1, 7, 5, 0).exact == 0.0
     r = xs.gauss_incomplete(1, 0, 4, 0, 4)

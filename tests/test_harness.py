@@ -269,7 +269,7 @@ def test_decay_fit():
 def test_type2_S20_rectangle_count():
     a = np.ones(4, dtype=complex)
     b = np.ones(2**9, dtype=complex)
-    s, _, _ = harness.type_sums(3, 10, 2, ONE, 0.0, a, b)
+    s, _, _ = harness.type_sums(3, 10, ONE, 0.0, a, b)
     assert abs(s - 4 * 2**9) < 1e-9
 
 
@@ -277,11 +277,11 @@ def test_type2_S20_validation():
     a = np.ones(4, dtype=complex)
     b = np.ones(2**9, dtype=complex)
     with pytest.raises(ValueError):
-        harness.type_sums(3, 10, 2, ONE, 0.0, 2 * a, b)
+        harness.type_sums(3, 10, ONE, 0.0, 2 * a, b)
     with pytest.raises(ValueError):
-        harness.type_sums(3, 10, 2, ONE, 0.0, a[:-1], b)
+        harness.type_sums(3, 10, ONE, 0.0, a[:-1], b)
     with pytest.raises(CapacityError):
-        harness.type_sums(14, 14, 2, ONE, 0.0, a, b)
+        harness.type_sums(14, 14, ONE, 0.0, a, b)
 
 
 def test_type2_S20_matches_direct_loop():
@@ -289,7 +289,7 @@ def test_type2_S20_matches_direct_loop():
     a = np.exp(2j * np.pi * rng.random(2))
     b = np.exp(2j * np.pi * rng.random(4))
     theta = 0.21
-    s, _, _ = harness.type_sums(2, 3, 2, TM, theta, a, b)
+    s, _, _ = harness.type_sums(2, 3, TM, theta, a, b)
     direct = 0.0 + 0.0j
     for i, m in enumerate(range(2, 4)):
         for j, n in enumerate(range(4, 8)):
@@ -308,10 +308,10 @@ def _unit_coefficients(q, mu, nu):
 
 
 def test_type1_SI():
-    _, si, _ = harness.type_sums(3, 6, 2, ONE, 0.0, *_unit_coefficients(2, 3, 6))
+    _, si, _ = harness.type_sums(3, 6, ONE, 0.0, *_unit_coefficients(2, 3, 6))
     assert abs(si - 4 * 32) < 1e-9
     # the maximum over suffix intervals dominates the full-interval value per m
-    _, plain, maxed = harness.type_sums(3, 8, 2, TM, 0.3, *_unit_coefficients(2, 3, 8))
+    _, plain, maxed = harness.type_sums(3, 8, TM, 0.3, *_unit_coefficients(2, 3, 8))
     assert maxed >= plain - 1e-12
 
 
@@ -328,7 +328,7 @@ def test_type1_SI_maximize_brute_force():
             )
             best = max(best, abs(s))
         total += best
-    _, _, si_max = harness.type_sums(mu, nu, q, TM, theta, *_unit_coefficients(q, mu, nu))
+    _, _, si_max = harness.type_sums(mu, nu, TM, theta, *_unit_coefficients(q, mu, nu))
     assert abs(si_max - total) < 1e-9
 
 
@@ -499,7 +499,7 @@ def test_rectangle_matches_per_row_reference(monkeypatch):
         for block in (harness.KERNEL_BLOCK, 7, 64):
             with monkeypatch.context() as patch:
                 patch.setattr(harness, "KERNEL_BLOCK", block)
-                assert harness.type_sums(mu, nu, q, f, theta, a, b) == (s20, si, si_max)
+                assert harness.type_sums(mu, nu, f, theta, a, b) == (s20, si, si_max)
 
 
 def test_vaughan_probe_checks_cap_before_rows(monkeypatch):
@@ -547,6 +547,6 @@ def test_type_sum_reproducibility():
     b1 = np.exp(2j * np.pi * rng1.random(8))
     a2 = np.exp(2j * np.pi * rng2.random(4))
     b2 = np.exp(2j * np.pi * rng2.random(8))
-    s1 = harness.type_sums(3, 4, 2, TM, 0.3, a1, b1)
-    s2 = harness.type_sums(3, 4, 2, TM, 0.3, a2, b2)
+    s1 = harness.type_sums(3, 4, TM, 0.3, a1, b1)
+    s2 = harness.type_sums(3, 4, TM, 0.3, a2, b2)
     assert s1 == s2

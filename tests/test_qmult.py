@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import is_proper as is_proper_reference
+from sqdigits import qmult
 from sqdigits.errors import CapacityError
 from sqdigits.qmult import (
     MAX_DIGIT_Q,
@@ -46,14 +48,81 @@ def test_phase_validation():
 
 
 def test_is_proper():
-    assert is_proper(thue_morse())  # (q-1)*gamma = 1/2 not integral
-    assert not is_proper(make_digit_exponential(3, Fraction(1, 2)))  # (q-1)*gamma = 1
-    assert is_proper(StronglyQMultiplicative(2, (Fraction(0), Fraction(1, 3))))
-    assert not is_proper(make_constant_one(4))  # gamma = 0 case
-    # floating phases within tolerance of an improper candidate
     eps = 1e-12
-    f = StronglyQMultiplicative(3, (0.0, (0.5 + eps) % 1.0, eps))
-    assert not is_proper(f)
+    cases = [
+        (thue_morse(), True),  # (q-1)*gamma = 1/2 not integral
+        (make_digit_exponential(3, Fraction(1, 2)), False),  # (q-1)*gamma = 1
+        (StronglyQMultiplicative(2, (Fraction(0), Fraction(1, 3))), True),
+        (make_constant_one(4), False),  # gamma = 0 case
+        (make_constant_one(2), False),  # q = 2: gamma = 0 is the only candidate
+        (make_digit_exponential(2, 0.0), False),
+        (make_digit_exponential(2, 1e-11), False),
+        (make_digit_exponential(2, 2e-10), True),
+        (make_digit_exponential(7, Fraction(5, 6)), False),
+        (make_digit_exponential(7, Fraction(5, 12)), True),  # a digit exponential, (q-1)*gamma = 5/2
+        (StronglyQMultiplicative(3, (Fraction(0), Fraction(1, 2), Fraction(1, 2))), True),
+        (StronglyQMultiplicative(3, (0.0, Fraction(1, 2), 0.0)), False),  # mixed: float path
+        # floating phases within tolerance of an improper candidate
+        (StronglyQMultiplicative(3, (0.0, (0.5 + eps) % 1.0, eps)), False),
+    ]
+    for f, proper in cases:
+        assert is_proper(f) == is_proper_reference(f) == proper, f
+
+
+def test_is_proper_float_phases_near_each_candidate():
+    # every k/(q-1), each phase moved by +-delta: inside the 1e-10 tolerance
+    # at 5e-11 (also around 0 and 1, where k*b/(q-1) mod 1 wraps), outside at 2e-10
+    rng = np.random.default_rng(18)
+    for q in (2, 3, 4, 5, 8, 13):
+        for k in range(q - 1):
+            for delta, proper in ((5e-11, False), (2e-10, True)):
+                for moved in ("all", "one"):
+                    shift = delta * rng.choice([-1.0, 1.0], size=q)
+                    if moved == "one":
+                        shift[np.arange(q) != int(rng.integers(1, q))] = 0.0
+                    shift[0] = 0.0
+                    phases = tuple(float((k * b / (q - 1) + shift[b]) % 1.0) for b in range(q))
+                    f = StronglyQMultiplicative(q, phases)
+                    assert is_proper(f) == is_proper_reference(f) == proper, (q, k, delta, moved)
+
+
+def test_is_proper_random_rational_tuples():
+    rng = np.random.default_rng(7)
+    improper = 0
+    for _ in range(400):
+        q = int(rng.integers(2, 10))
+        den = int(rng.choice([1, 2, 3, 4, 6, 8, q - 1, 2 * (q - 1), 5 * q]))
+        kind = int(rng.integers(0, 3))
+        if kind == 0:  # arbitrary rational phases
+            phases = (Fraction(0),) + tuple(Fraction(int(rng.integers(0, den)), den) for _ in range(q - 1))
+            f = StronglyQMultiplicative(q, phases)
+        else:  # a digit exponential, with one phase changed when kind == 2
+            f = make_digit_exponential(q, Fraction(int(rng.integers(0, den)), den))
+            if kind == 2:
+                b = int(rng.integers(1, q))
+                phases = list(f.phases)
+                phases[b] = Fraction(int(rng.integers(0, den)), den)
+                f = StronglyQMultiplicative(q, tuple(phases))
+        proper = is_proper(f)
+        assert proper == is_proper_reference(f), f
+        improper += not proper
+    assert 20 < improper < 380  # both answers are exercised
+
+
+def test_is_proper_float_path_tries_one_candidate(monkeypatch):
+    # at q = 64 trying all 63 candidates takes 63 * 64 = 4032 distances
+    calls = []
+    distance = qmult._circle_distance
+
+    def counting_distance(x):
+        calls.append(x)
+        return distance(x)
+
+    monkeypatch.setattr(qmult, "_circle_distance", counting_distance)
+    for gamma, proper in ((5 / 63, False), (0.3, True), (62 / 63, False)):
+        calls.clear()
+        assert is_proper(make_digit_exponential(64, gamma)) == proper
+        assert len(calls) <= 64
 
 
 def test_evaluate_examples():
@@ -141,6 +210,7 @@ def test_unit_modulus_after_long_chains():
 
 
 def test_exactness_and_hash_are_computed_once(monkeypatch):
+    from sqdigits.fourier import quadratic_mean
     from sqdigits.harness import phase_array
 
     # at q = 2**17 one scan of the phases costs about 0.5 s, so repeated calls
@@ -150,19 +220,33 @@ def test_exactness_and_hash_are_computed_once(monkeypatch):
     values = np.array([0, 1, 2**17 + 3, 2**40 + 12345], dtype=np.uint64)
     phases = [phase_of(f, int(v)) for v in values]
     array = phase_array(f, values)
-    hashes = []
-    fraction_hash = Fraction.__hash__
+    numerators = f.numerators
+    assert numerators == (5, tuple(b % 5 for b in range(2**17)))
+    assert is_proper(f)
+    sums = quadratic_mean(f, 1, 0.4)
+    counted = []
 
-    def counting_hash(self):
-        hashes.append(self)
-        return fraction_hash(self)
+    def counting(name):
+        method = getattr(Fraction, name)
 
-    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+        def wrapper(self, *args):
+            counted.append(name)
+            return method(self, *args)
+
+        monkeypatch.setattr(Fraction, name, wrapper)
+
+    # hashing, and the Fraction arithmetic of a per-digit scan, on every call
+    # would each cost a scan of the q phases
+    for name in ("__hash__", "__mul__", "__rmul__", "__mod__"):
+        counting(name)
     for _ in range(3):
         assert f.exact
+        assert f.numerators is numerators
         assert [phase_of(f, int(v)) for v in values] == phases
         assert phase_array(f, values).tolist() == array.tolist()
-    assert hashes == []
+        assert is_proper(f)
+        assert quadratic_mean(f, 1, 0.4) == sums
+    assert counted == []
     monkeypatch.undo()
     # equality and hashing still follow the fields
     same = make_digit_exponential(2**17, Fraction(1, 5))
