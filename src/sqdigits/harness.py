@@ -14,8 +14,9 @@ numerator k becomes e(k/D) by one division and exp, or, with no twist and
 D <= DIGIT_TABLE_CAP, by a lookup in a table of the D roots of unity built
 from the same k/D, so both give the same bits.  Every
 bilinear sum reads a zero-padded (m, n) block of g(mn) = f((mn)^2) e(theta mn).
-The q-adic rectangle of type_sums takes one kernel call per KERNEL_BLOCK
-pairs and is reduced three ways (S_20, S_I and its suffix maximum).  The
+type_sums never holds its whole q-adic rectangle: it builds one chunk of
+whole rows of at most KERNEL_BLOCK pairs per kernel call and adds each
+chunk to three running totals (S_20, S_I and its suffix maximum).  The
 Vaughan probe evaluates g once on (x/q, x], where all its products lie, and
 copies each row of each q-adic block as a strided slice of that table.
 
@@ -33,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -173,16 +175,19 @@ class EquidistReport:
 
 
 def equidist_counts(x: int, q: int, m: int) -> EquidistReport:
-    """Stream primes, bin s_q(p^2) mod m, report the discrepancy."""
+    """Stream primes, bin s_q(p^2) mod m, report the discrepancy.  Each prime
+    segment is binned KERNEL_BLOCK primes at a time, so that every temporary
+    is one block long."""
     if q < 2 or m < 2:
         raise ValueError(f"need q >= 2 and m >= 2, got ({q}, {m})")
     if m > EQUIDIST_BIN_CAP:
         raise CapacityError(f"m = {m} residue bins exceed the bin cap {EQUIDIST_BIN_CAP}")
     counts = np.zeros(m, dtype=np.int64)
     for arr in prime_arrays(x):
-        p = arr.astype(np.uint64)
-        s = digit_sums_array(p * p, q)
-        counts += np.bincount(_remainder(s, np.uint64(m)).astype(np.int64), minlength=m)
+        for start in range(0, len(arr), KERNEL_BLOCK):
+            p = arr[start : start + KERNEL_BLOCK].astype(np.uint64)
+            s = digit_sums_array(p * p, q)
+            counts += np.bincount(_remainder(s, np.uint64(m)).astype(np.int64), minlength=m)
     pi_x = int(counts.sum())
     expected = pi_x / m
     disc = float(np.max(np.abs(counts - expected)) / pi_x) if pi_x else 0.0
@@ -277,18 +282,31 @@ def _strided_rows(
     return dense
 
 
-def _rows_total(dense: np.ndarray, per_row) -> float:
-    """sum over rows of per_row(rows), added in row order; per_row sees
-    chunks of consecutive rows of at most KERNEL_BLOCK elements (one row at
-    least), so its temporaries stay small."""
-    step = max(1, KERNEL_BLOCK // dense.shape[1])
-    values = np.concatenate([per_row(dense[i : i + step]) for i in range(0, len(dense), step)])
-    return float(np.cumsum(values)[-1])  # cumsum adds in order, one row after another
+def _row_chunks(rows: int, cols: int) -> Iterator[slice]:
+    """Consecutive rows of a rows x cols block, at most KERNEL_BLOCK entries
+    (one row at least) at a time."""
+    step = max(1, KERNEL_BLOCK // cols)
+    return (slice(i, i + step) for i in range(0, rows, step))
+
+
+def _add_in_order(total, values: np.ndarray):
+    """total + values[0] + values[1] + ..., added one after another (cumsum
+    adds in order), so a sum carried across chunks does not depend on them."""
+    return np.cumsum(np.concatenate(([total], values)))[-1]
+
+
+def _suffix_maxima(rows: np.ndarray) -> np.ndarray:
+    """max_t |row[t] + ... + row[-1]| of each row."""
+    return np.max(np.abs(np.cumsum(rows[:, ::-1], axis=1)), axis=1)
 
 
 def _suffix_max_sum(dense: np.ndarray) -> float:
-    """sum over rows of max_t |row[t] + ... + row[-1]|, added in row order."""
-    return _rows_total(dense, lambda c: np.max(np.abs(np.cumsum(c[:, ::-1], axis=1)), axis=1))
+    """sum over rows of _suffix_maxima, added in row order, one _row_chunks
+    chunk at a time."""
+    total = 0.0
+    for chunk in _row_chunks(*dense.shape):
+        total = _add_in_order(total, _suffix_maxima(dense[chunk]))
+    return float(total)
 
 
 def rectangle_shape(q: int, mu: int, nu: int) -> tuple[int, int]:
@@ -308,13 +326,17 @@ def type_sums(
     b: np.ndarray,
 ) -> tuple[complex, float, float]:
     """(S20, SI, SI_max) over the q-adic rectangle of rectangle_shape, q = f.q, with
-    g(mn) = f(m^2 n^2) e(theta m n) built once as one dense block:
+    g(mn) = f(m^2 n^2) e(theta m n):
 
-    * S20    = sum_m sum_n a_m b_n g(mn), the exact bilinear (type II) sum;
+    * S20    = sum_m a_m sum_n b_n g(mn), the exact bilinear (type II) sum;
     * SI     = sum_m |sum_n g(mn)|, the type I sum over full inner intervals;
     * SI_max = sum_m max_t |sum_{t < n < q**nu} g(mn)|, the inner sum replaced
       by its maximum over all suffix intervals: it only changes at integer
       endpoints, so scanning every cumulative suffix sum is exact.
+
+    The rectangle is built and reduced one _row_chunks chunk at a time, and
+    each sum adds its row values in row order, so no array holds more than
+    one chunk of rows and the sums do not depend on the chunk size.
     """
     q = f.q
     rows, cols = rectangle_shape(q, mu, nu)
@@ -325,11 +347,15 @@ def type_sums(
     if np.max(np.abs(a)) > 1 + 1e-12 or np.max(np.abs(b)) > 1 + 1e-12:
         raise ValueError("coefficients must have modulus at most 1")
     m = np.arange(q ** (mu - 1), q**mu, dtype=np.uint64)
-    g = _rectangle(m, np.arange(q ** (nu - 1), q**nu, dtype=np.uint64), f, theta)
-    s20 = complex(np.sum(a[:, None] * b[None, :] * g))
-    # hypot rounds as Python's abs(complex) does; numpy's complex abs does not
-    si = _rows_total(g, lambda c: np.hypot((s := c.sum(axis=1)).real, s.imag))
-    return s20, si, _suffix_max_sum(g)
+    n = np.arange(q ** (nu - 1), q**nu, dtype=np.uint64)
+    s20, si, si_max = 0j, 0.0, 0.0
+    for chunk in _row_chunks(rows, cols):
+        g = _rectangle(m[chunk], n, f, theta)
+        s20 = _add_in_order(s20, a[chunk] * (g * b).sum(axis=1))
+        # hypot rounds as Python's abs(complex) does; numpy's complex abs does not
+        si = _add_in_order(si, np.hypot((s := g.sum(axis=1)).real, s.imag))
+        si_max = _add_in_order(si_max, _suffix_maxima(g))
+    return complex(s20), float(si), float(si_max)
 
 
 @dataclass(frozen=True)

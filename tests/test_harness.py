@@ -1,6 +1,7 @@
 """Harness experiments: Lambda sums, equidistribution, type sums, plans."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,16 @@ from sqdigits.sieve import SEGMENT_SIZE, prime_arrays
 
 TM = thue_morse()
 ONE = make_constant_one(2)
+
+
+def _traced_peak(run) -> int:
+    """tracemalloc peak, in bytes, of run()."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _psi(x: int) -> float:
@@ -153,6 +164,15 @@ def test_equidist_partition_and_flags():
     assert len(harness.equidist_counts(100, 2, harness.EQUIDIST_BIN_CAP).counts) == harness.EQUIDIST_BIN_CAP
     with pytest.raises(CapacityError):
         harness.equidist_counts(100, 2, harness.EQUIDIST_BIN_CAP + 1)
+
+
+def test_equidist_memory_is_the_sieve_s():
+    # every temporary is one block of primes long; whole-segment temporaries
+    # took 22 MiB at x = 10**7, against the sieve's 8.6 MiB
+    x = 10**7
+    harness.equidist_counts(100, 3, 5)  # builds the digit table
+    sieve_peak = _traced_peak(lambda: [None for _ in prime_arrays(x)])
+    assert _traced_peak(lambda: harness.equidist_counts(x, 3, 5)) <= sieve_peak + 4 * 2**20
 
 
 def test_equidist_reproducible():
@@ -305,6 +325,19 @@ def test_type2_S20_matches_direct_loop():
 def _unit_coefficients(q, mu, nu):
     rows, cols = harness.rectangle_shape(q, mu, nu)
     return np.ones(rows), np.ones(cols)
+
+
+def test_type_sums_memory_does_not_grow_with_the_rectangle():
+    # one chunk of rows at a time: the whole 2**20-entry rectangle and its
+    # a (x) b product took 32.5 MiB at (mu, nu) = (8, 14)
+    f = make_digit_exponential(2, Fraction(1, 2))
+    harness.type_sums(1, 1, f, 0.0, *_unit_coefficients(2, 1, 1))  # builds the kernel's tables
+    peaks = []
+    for mu, nu in ((8, 14), (10, 10)):
+        a, b = _unit_coefficients(2, mu, nu)
+        peaks.append(_traced_peak(lambda: harness.type_sums(mu, nu, f, 0.0, a, b)))
+    assert peaks[0] <= 12 * 2**20
+    assert abs(peaks[0] - peaks[1]) <= 2**20
 
 
 def test_type1_SI():
@@ -489,11 +522,17 @@ def test_rectangle_matches_per_row_reference(monkeypatch):
         assert dense.shape == reference.shape and dense.tobytes() == reference.tobytes()
         a = np.exp(2j * np.pi * rng.random(m.size))
         b = np.exp(2j * np.pi * rng.random(n.size))
-        si = si_max = 0.0
-        for g in reference:
+        # numpy's complex product is not bitwise commutative, so the
+        # reference keeps type_sums' operand order
+        s20, si, si_max = 0j, 0.0, 0.0
+        for term, g in zip(a * np.array([np.sum(g * b) for g in reference]), reference):
+            s20 += complex(term)
             si += abs(complex(np.sum(g)))
             si_max += float(np.max(np.abs(np.cumsum(g[::-1]))))
-        s20 = complex(np.sum(a[:, None] * b[None, :] * reference))
+        # S20 adds its row sums in row order too; one flat sum over the
+        # whole rectangle agrees to rounding
+        flat = complex(np.sum(a[:, None] * b[None, :] * reference))
+        assert abs(s20 - flat) <= 1e-14 * abs(flat)
         # the row reductions run in chunks of whole rows; widths 8, 18, 20, 1
         # and 42 leave a short last chunk at some of these chunk sizes
         for block in (harness.KERNEL_BLOCK, 7, 64):
