@@ -329,7 +329,7 @@ def _unit_coefficients(q, mu, nu):
 
 def test_type_sums_memory_does_not_grow_with_the_rectangle():
     # one chunk of rows at a time: the whole 2**20-entry rectangle and its
-    # a (x) b product took 32.5 MiB at (mu, nu) = (8, 14)
+    # a (x) b product took 32 MiB at (mu, nu) = (8, 14)
     f = make_digit_exponential(2, Fraction(1, 2))
     harness.type_sums(1, 1, f, 0.0, *_unit_coefficients(2, 1, 1))  # builds the kernel's tables
     peaks = []
