@@ -36,7 +36,6 @@ import numpy as np
 from . import fourier, harness, sieve, vaaler
 from . import expsums as xs
 from .errors import CapacityError, DomainError, PreconditionError
-from .expsums import _ratio
 from .qmult import MAX_DIGIT_Q, StronglyQMultiplicative, _circle_distance, is_proper, make_digit_exponential
 
 SCHEMA = "report-v2"
@@ -48,19 +47,21 @@ EXIT_CAPACITY = 3
 
 _GAMMA_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")  # a nonzero denominator
 
-EXPSUM_FAMILIES = (
-    "geometric",
-    "min-sum",
-    "gauss-complete",
-    "gauss-incomplete",
-    "weyl",
-    "gcd-average",
-    "vdc",
-    "second-derivative",
-    "bilinear-mn2",
-    "bilinear-xi2",
-    "bilinear-m2n2",
-)
+# expsum family -> whether its bound has an explicit constant, so that its
+# rows carry a pass flag
+EXPSUM_FAMILIES = {
+    "geometric": True,
+    "min-sum": False,
+    "gauss-complete": True,
+    "gauss-incomplete": True,
+    "weyl": False,
+    "gcd-average": True,
+    "vdc": True,
+    "second-derivative": False,
+    "bilinear-mn2": False,
+    "bilinear-xi2": False,
+    "bilinear-m2n2": False,
+}
 
 
 # bilinear expsum family -> (frequency keyword of bilinear_quadratic_sum, its
@@ -162,15 +163,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_row(suite: str, label: str, exact: float, bound: float, kind: str, tol: float) -> dict:
-    """The report row of one verified instance: kind "upper" checks exact <= bound,
-    kind "identity" checks exact == bound, each within tol."""
+def _ratio(exact: float, bound: float) -> float:
+    """exact / bound, the slack of one report row; against a zero bound,
+    0.0 when exact is zero too and inf otherwise."""
+    if bound != 0:
+        return exact / bound
+    return 0.0 if exact == 0 else math.inf
+
+
+def _passes(exact: float, bound: float, kind: str, tol: float) -> bool:
+    """The pass rule of every verify and expsum row: kind "upper" checks
+    exact <= bound, kind "identity" checks exact == bound, each within tol."""
     if kind == "identity":
-        passed = abs(exact - bound) <= tol
-    else:
-        passed = exact <= bound + tol
+        return abs(exact - bound) <= tol
+    return exact <= bound + tol
+
+
+def _vdc_tol(rhs: float) -> float:
+    """The van der Corput variant's tolerance: rhs scales with sum |z_n|^2."""
+    return 1e-9 * max(1.0, abs(rhs))
+
+
+def _check_row(suite: str, label: str, exact: float, bound: float, kind: str, tol: float) -> dict:
+    """The report row of one verified instance."""
     return {"suite": suite, "label": label, "exact": exact, "bound": bound, "kind": kind,
-            "ratio": _ratio(exact, bound), "pass": passed}
+            "ratio": _ratio(exact, bound), "pass": _passes(exact, bound, kind, tol)}
 
 
 def _f_of(config: RunConfig) -> StronglyQMultiplicative:
@@ -323,7 +340,7 @@ def _verify_rows(config: RunConfig) -> list[dict]:
         for a in range(m):
             for b in range(0, m, max(1, m // 4)):
                 r = xs.gauss_complete(a, b, m)
-                rows.append(_check_row("gauss-complete", f"a={a} b={b} m={m}", r.exact, r.bound, "upper", 1e-9))
+                rows.append(_check_row("gauss-complete", f"a={a} b={b} m={m}", *r, "upper", 1e-9))
     for _ in range(200):
         m = int(rng.integers(1, 65))
         a = int(rng.integers(0, m))
@@ -331,25 +348,23 @@ def _verify_rows(config: RunConfig) -> list[dict]:
         N = int(rng.integers(0, 3 * m + 1))
         n0 = int(rng.integers(0, 100))
         r = xs.gauss_incomplete(a, b, m, n0, N)
-        rows.append(_check_row("gauss-incomplete", f"a={a} b={b} m={m} N={N}", r.exact, r.bound, "upper", 1e-9))
+        rows.append(_check_row("gauss-incomplete", f"a={a} b={b} m={m} N={N}", *r, "upper", 1e-9))
 
     for _ in range(10**4):
         L1 = int(rng.integers(-100, 100))
         L2 = L1 + int(rng.integers(0, 1000))
         xi = float(rng.random())
-        r = xs.geometric_sum(L1, L2, xi)
-        rows.append(_check_row("geometric", f"len={L2 - L1}", r.exact, r.bound, "upper", 1e-9))
+        rows.append(_check_row("geometric", f"len={L2 - L1}", *xs.geometric_sum(L1, L2, xi), "upper", 1e-9))
 
     for m in range(1, 201):
         for A in (1, 7, 61, 500):
-            r = xs.gcd_average(m, A, 1.0)
-            rows.append(_check_row("gcd-average", f"m={m} A={A}", r.exact, r.bound, "upper", 1e-9))
+            rows.append(_check_row("gcd-average", f"m={m} A={A}", *xs.gcd_average(m, A, 1.0), "upper", 1e-9))
 
     for i in range(1000):
         n = int(rng.integers(1, 200))
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         lhs, rhs = xs.vdc_variant_check(z, int(rng.integers(1, 8)), int(rng.integers(1, 8)))
-        rows.append(_check_row("vdc-variant", f"i={i}", lhs, rhs, "upper", 1e-9 * max(1.0, abs(rhs))))
+        rows.append(_check_row("vdc-variant", f"i={i}", lhs, rhs, "upper", _vdc_tol(rhs)))
 
     for qq in (2, 6, 12, 30):
         for lam in (1, 2, 5):
@@ -411,10 +426,12 @@ def _constants_results(config: RunConfig) -> dict:
 def _expsum_rows(config: RunConfig) -> list[dict]:
     rng = np.random.default_rng(config.seed)
     family = config.family
+    explicit = EXPSUM_FAMILIES[family]
     out: list[dict] = []
 
-    def emit(label: str, exact: float, bound: float, passed: bool | None) -> None:
-        """passed is None where the bound's constant is not explicit."""
+    def emit(label: str, exact: float, bound: float) -> None:
+        """pass is None where the bound's constant is not explicit."""
+        tol = _vdc_tol(bound) if family == "vdc" else 1e-9 * bound
         out.append(
             {
                 "family": family,
@@ -422,52 +439,48 @@ def _expsum_rows(config: RunConfig) -> list[dict]:
                 "exact": exact,
                 "bound": bound,
                 "ratio": _ratio(exact, bound),
-                "explicit_constant": passed is not None,
-                "pass": passed,
+                "explicit_constant": explicit,
+                "pass": _passes(exact, bound, "upper", tol) if explicit else None,
             }
         )
-
-    def emit_report(label: str, r: xs.BoundReport) -> None:
-        emit(label, r.exact, r.bound, r.holds if r.explicit_constant else None)
 
     if family == "geometric":
         for i in range(200):
             L1 = int(rng.integers(-50, 50))
             L2 = L1 + int(rng.integers(0, 500))
-            emit_report(f"i={i}", xs.geometric_sum(L1, L2, float(rng.random())))
+            emit(f"i={i}", *xs.geometric_sum(L1, L2, float(rng.random())))
     elif family == "min-sum":
         for N2 in (100, 1000, 10000):
-            emit_report(f"N={N2}", xs.min_sum(0, N2, 50.0, math.sqrt(0.5), 0.0))
+            emit(f"N={N2}", *xs.min_sum(0, N2, 50.0, math.sqrt(0.5), 0.0))
     elif family == "gauss-complete":
         for m in range(1, 65):
-            emit_report(f"m={m}", xs.gauss_complete(int(rng.integers(0, m)), int(rng.integers(0, m)), m))
+            emit(f"m={m}", *xs.gauss_complete(int(rng.integers(0, m)), int(rng.integers(0, m)), m))
     elif family == "gauss-incomplete":
         for m in range(1, 65):
             N = int(rng.integers(0, 3 * m + 1))
-            emit_report(f"m={m} N={N}", xs.gauss_incomplete(int(rng.integers(0, m)), int(rng.integers(0, m)), m, 0, N))
+            emit(f"m={m} N={N}", *xs.gauss_incomplete(int(rng.integers(0, m)), int(rng.integers(0, m)), m, 0, N))
     elif family == "weyl":
         golden = (math.sqrt(5.0) - 1.0) / 2.0
         for a, m in ((1, 2), (2, 3), (3, 5), (5, 8), (8, 13), (13, 21), (21, 34)):
-            emit_report(f"convergent {a}/{m}", xs.weyl_quadratic(golden, 0.3, 0.1, 0, 10**4, a, m))
+            emit(f"convergent {a}/{m}", *xs.weyl_quadratic(golden, 0.3, 0.1, 0, 10**4, a, m))
     elif family == "gcd-average":
         for m in (1, 6, 12, 60, 200):
-            emit_report(f"m={m}", xs.gcd_average(m, 500, 0.5))
+            emit(f"m={m}", *xs.gcd_average(m, 500, 0.5))
     elif family == "vdc":
         for i in range(50):
             n = int(rng.integers(1, 200))
             z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            lhs, rhs = xs.vdc_variant_check(z, int(rng.integers(1, 8)), int(rng.integers(1, 8)))
-            emit(f"i={i}", lhs, rhs, lhs <= rhs + 1e-9 * max(1.0, abs(rhs)))
+            emit(f"i={i}", *xs.vdc_variant_check(z, int(rng.integers(1, 8)), int(rng.integers(1, 8))))
     elif family == "second-derivative":
         for N in (64, 128, 256, 512, 1024, 2048, 4096):
-            emit_report(f"N={N}", xs.second_derivative_report(1.0 / (10.0 * math.sqrt(2.0)), N))
+            emit(f"N={N}", *xs.second_derivative_report(1.0 / (10.0 * math.sqrt(2.0)), N))
     elif family in BILINEAR_FAMILIES:
         keyword, xi, power, bound_of = BILINEAR_FAMILIES[family]
         for size in (32, 64, 128):
             a = np.exp(2j * np.pi * rng.random(size))
             b = np.exp(2j * np.pi * rng.random(size))
             s = xs.bilinear_quadratic_sum(a, b, **{keyword: xi})
-            emit(f"M=N={size}", (abs(s) / (size * size)) ** power, bound_of(size, size, xi), None)
+            emit(f"M=N={size}", (abs(s) / (size * size)) ** power, bound_of(size, size, xi))
     return out
 
 

@@ -1,16 +1,17 @@
 """Exact evaluators and bound checks for the exponential-sum toolbox.
 
-Every check produces a BoundReport holding the exactly evaluated left side,
-the right side of the corresponding inequality, and their ratio.  Two
-regimes are distinguished:
+Each check returns a pair (exact, bound): the exactly evaluated left side
+of its inequality and the right side.  The bilinear sums come apart:
+bilinear_quadratic_sum evaluates the sum, and bound_mn2, bound_xi2 and
+bound_m2n2 the right sides.  Two regimes are distinguished:
 
-* explicit_constant=True -- the inequality carries no hidden constant
+* explicit constant -- the inequality carries no hidden constant
   (complete/incomplete Gauss sums, geometric series, gcd averages, the
-  van der Corput variant).  ratio <= 1 is a hard contract.
-* explicit_constant=False -- the inequality is only stated up to an
+  van der Corput variant).  exact <= bound is a hard contract.
+* implicit constant -- the inequality is only stated up to an
   unspecified absolute constant (sum of minimums, Weyl, the second
   derivative test, the three bilinear bounds).  The right side is
-  evaluated with the implied constant pinned to 1 and the ratio is
+  evaluated with the implied constant pinned to 1 and exact / bound is
   recorded for scaling analysis, never asserted against 1.
 
 Rational phase arguments are reduced mod 1 in exact integer arithmetic
@@ -32,32 +33,7 @@ from .qmult import _circle_distance, frac
 RationalOrFloat = Fraction | int | float
 
 
-def _ratio(exact: float, bound: float) -> float:
-    """exact / bound, the slack of one report row; against a zero bound,
-    0.0 when exact is zero too and inf otherwise."""
-    if bound != 0:
-        return exact / bound
-    return 0.0 if exact == 0 else math.inf
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Evaluated inequality instance: exact left side vs bound right side."""
-
-    exact: float
-    bound: float
-    explicit_constant: bool
-
-    @property
-    def ratio(self) -> float:
-        return _ratio(self.exact, self.bound)
-
-    @property
-    def holds(self) -> bool:
-        return self.ratio <= 1.0 + 1e-9
-
-
-def geometric_sum(L1: int, L2: int, xi: float) -> BoundReport:
+def geometric_sum(L1: int, L2: int, xi: float) -> tuple[float, float]:
     """|sum_{L1 < l <= L2} e(l xi)| against min(L2-L1, 1/|sin pi xi|)."""
     if L1 > L2:
         raise ValueError(f"need L1 <= L2, got ({L1}, {L2})")
@@ -66,10 +42,10 @@ def geometric_sum(L1: int, L2: int, xi: float) -> BoundReport:
     sin = abs(math.sin(math.pi * xi))
     length = float(L2 - L1)
     bound = length if sin == 0.0 else min(length, 1.0 / sin)
-    return BoundReport(float(exact), bound, explicit_constant=True)
+    return float(exact), bound
 
 
-def min_sum(N1: int, N2: int, M: float, xi: float, phi: float) -> BoundReport:
+def min_sum(N1: int, N2: int, M: float, xi: float, phi: float) -> tuple[float, float]:
     """sum of min(M, 1/|sin pi(n xi + phi)|) against its order-of-magnitude bound.
 
     bound = (3 + floor((N2-N1)||xi||)) (3M + ||xi||^-1 log ||xi||^-1) with the
@@ -86,10 +62,10 @@ def min_sum(N1: int, N2: int, M: float, xi: float, phi: float) -> BoundReport:
         inv = np.where(sines > 0, 1.0 / sines, np.inf)
     exact = float(np.sum(np.minimum(M, inv)))
     bound = (3.0 + math.floor((N2 - N1) * dist)) * (3.0 * M + math.log(1.0 / dist) / dist)
-    return BoundReport(exact, bound, explicit_constant=False)
+    return exact, bound
 
 
-def gauss_complete(a: int, b: int, m: int) -> BoundReport:
+def gauss_complete(a: int, b: int, m: int) -> tuple[float, float]:
     """|sum_{n<m} e((a n^2 + b n)/m)| against sqrt(2 m gcd(a, m))."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -98,10 +74,10 @@ def gauss_complete(a: int, b: int, m: int) -> BoundReport:
     residues = (a_red * (n * n % m) + b_red * n) % m  # a_red*n*n overflows int64 from m ~ 2.1e6
     exact = abs(np.sum(np.exp(2j * np.pi * (residues / m))))
     bound = math.sqrt(2.0 * m * math.gcd(a, m))
-    return BoundReport(float(exact), bound, explicit_constant=True)
+    return float(exact), bound
 
 
-def gauss_incomplete(a: int, b: int, m: int, n0: int, N: int) -> BoundReport:
+def gauss_incomplete(a: int, b: int, m: int, n0: int, N: int) -> tuple[float, float]:
     """Incomplete quadratic Gauss sum over n0 < n <= n0 + N.
 
     bound = (N/m + 1 + (2/pi) log(2m/pi)) sqrt(2 m gcd(a, m)).
@@ -118,7 +94,7 @@ def gauss_incomplete(a: int, b: int, m: int, n0: int, N: int) -> BoundReport:
     bound = (N / m + 1.0 + (2.0 / math.pi) * math.log(2.0 * m / math.pi)) * math.sqrt(
         2.0 * m * math.gcd(a, m)
     )
-    return BoundReport(float(exact), bound, explicit_constant=True)
+    return float(exact), bound
 
 
 def weyl_quadratic(
@@ -129,7 +105,7 @@ def weyl_quadratic(
     N: int,
     a: int,
     m: int,
-) -> BoundReport:
+) -> tuple[float, float]:
     """|sum e(alpha n^2 + beta n + gamma)| against N/sqrt(m) + sqrt(N log m) + sqrt(m log m).
 
     Requires the rational approximation |alpha - a/m| <= 1/m^2 with
@@ -153,7 +129,7 @@ def weyl_quadratic(
     exact = abs(np.sum(np.exp(2j * np.pi * frac(phases))))
     log_m = math.log(m)
     bound = N / math.sqrt(m) + math.sqrt(N * log_m) + math.sqrt(m * log_m)
-    return BoundReport(float(exact), bound, explicit_constant=False)
+    return float(exact), bound
 
 
 def sigma(exponent: float, n: int) -> float:
@@ -165,14 +141,14 @@ def sigma(exponent: float, n: int) -> float:
     return total
 
 
-def gcd_average(m: int, A: int, gamma: float) -> BoundReport:
+def gcd_average(m: int, A: int, gamma: float) -> tuple[float, float]:
     """(1/A) sum_{a<=A} gcd(a, m)**gamma against sigma_{gamma-1}(m)."""
     if m < 1 or A < 1:
         raise ValueError(f"need m >= 1 and A >= 1, got ({m}, {A})")
     gcds = np.gcd(np.arange(1, A + 1, dtype=np.int64), m).astype(np.float64)
     exact = float(np.sum(gcds**gamma)) / A
     bound = sigma(gamma - 1.0, m)
-    return BoundReport(exact, bound, explicit_constant=True)
+    return exact, bound
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -329,7 +305,7 @@ def bound_m2n2(M: int, N: int, xi4: RationalOrFloat) -> float:
     )
 
 
-def second_derivative_report(theta: float, N: int) -> BoundReport:
+def second_derivative_report(theta: float, N: int) -> tuple[float, float]:
     """|sum_{n<=N} e(theta n^2)| against the second-derivative test bound.
 
     The phase theta x^2 has second derivative exactly 2 theta, so the test
@@ -342,4 +318,4 @@ def second_derivative_report(theta: float, N: int) -> BoundReport:
     exact = abs(np.sum(np.exp(2j * np.pi * frac(theta * n * n))))
     lam2 = 2.0 * theta
     bound = math.sqrt(lam2) * N + 1.0 / math.sqrt(lam2)
-    return BoundReport(float(exact), bound, explicit_constant=False)
+    return float(exact), bound

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .fourier import build_table
-from .qmult import StronglyQMultiplicative, _circle_distance, eval_truncated, frac
+from .qmult import StronglyQMultiplicative, eval_truncated, frac
 
 
 @dataclass(frozen=True)
@@ -198,11 +198,6 @@ def convolution_defects(U: int, H: int, ell: int) -> ConvolutionDefects:
     exact[0] = _coeff_chi_star(alpha, ell)  # chi* conv (chi* e^ell)(0)
     chiH_defect = float(np.sum(np.abs(conv_h - exact)))
     return ConvolutionDefects(chiB_sum, BB_sum, chiH_defect)
-
-
-def chi_star_self_convolution(alpha: float, x: float) -> float:
-    """chi*_alpha conv chi*_alpha(x) = alpha * max(1 - ||x||/alpha, 0)."""
-    return alpha * max(1.0 - _circle_distance(x) / alpha, 0.0)
 
 
 class WindowApproximation(NamedTuple):

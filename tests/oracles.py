@@ -5,8 +5,10 @@ extraction and trial division, properness by trying every candidate
 gamma = k/(q-1) in Fraction arithmetic, the Fourier transform F_lam by its
 defining O(q**lam) sum over a digit-by-digit table of f, the quadratic
 means of a digit exponential one full row at a time over whole-row
-sine/cosine tables, and the Vaaler kernel coefficients one h at a time in
-scalar math/cmath arithmetic.
+sine/cosine tables, the Vaaler kernel coefficients one h at a time in
+scalar math/cmath arithmetic, and the self-convolution of the sharp
+indicator chi* in closed form.  holds is the ratio rule the tests apply to
+explicit-constant bounds.
 """
 
 from __future__ import annotations
@@ -19,6 +21,13 @@ import numpy as np
 
 from sqdigits.qmult import StronglyQMultiplicative
 from sqdigits.vaaler import VaalerKernel
+
+
+def holds(pair: tuple[float, float]) -> bool:
+    """exact / bound <= 1 + 1e-9 for an (exact, bound) pair; against a zero
+    bound, only exact == 0 holds."""
+    exact, bound = pair
+    return exact == 0 if bound == 0 else exact / bound <= 1.0 + 1e-9
 
 
 def _int_nth_root(n: int, k: int) -> int:
@@ -145,6 +154,11 @@ def coeff_chi_star(alpha: float, h: int) -> float:
     if h == 0:
         return alpha
     return math.sin(math.pi * h * alpha) / (math.pi * h)
+
+
+def chi_star_self_convolution(alpha: float, x: float) -> float:
+    """chi*_alpha conv chi*_alpha(x) = alpha * max(1 - ||x||/alpha, 0), in closed form."""
+    return alpha * max(1.0 - abs(x - round(x)) / alpha, 0.0)
 
 
 def coeff_chi(kernel: VaalerKernel, h: int) -> complex:

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+from oracles import holds
 
 from sqdigits import expsums as xs
 from sqdigits import fourier, harness, vaaler
@@ -81,7 +82,7 @@ def test_criterion_2_explicit_constant_inequalities():
             failures.append(f"gauss-complete m={m}")
         a_spot, b_spot = int(rng.integers(0, m)), int(rng.integers(0, m))
         r = xs.gauss_complete(a_spot, b_spot, m)
-        if abs(r.exact - sums[a_spot, b_spot]) > 1e-9 or not r.holds:
+        if abs(r[0] - sums[a_spot, b_spot]) > 1e-9 or not holds(r):
             failures.append(f"gauss-complete spot m={m}")
 
     for _ in range(500):
@@ -90,7 +91,7 @@ def test_criterion_2_explicit_constant_inequalities():
             int(rng.integers(0, m)), int(rng.integers(0, m)), m,
             int(rng.integers(0, 100)), int(rng.integers(0, 3 * m + 1)),
         )
-        if not r.holds:
+        if not holds(r):
             failures.append("gauss-incomplete")
 
     for U, H in ((2, 7), (3, 8), (4, 15), (6, 63)):

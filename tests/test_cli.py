@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqdigits import cli, fourier, harness
+from sqdigits import expsums as xs
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((ROOT / "src" / "sqdigits" / "report_schema.json").read_text())
@@ -84,6 +85,61 @@ def test_verify_exit_zero_and_schema(tmp_path):
     report = json.loads(out.read_text())
     jsonschema.validate(report, SCHEMA)
     assert all(row["pass"] for row in report["results"])
+
+
+def test_verify_violation_exits_one(tmp_path, monkeypatch):
+    # quadratic means off by 1e-6 relative break their identity rows, and only those
+    quadratic_mean = fourier.quadratic_mean
+    monkeypatch.setattr(fourier, "quadratic_mean", lambda *args: [s * (1 + 1e-6) for s in quadratic_mean(*args)])
+    code, out = run_cli(["verify", "--q", "2", "--gamma", "1/2", "--seed", "7"], tmp_path)
+    assert code == cli.EXIT_VIOLATION
+    rows = json.loads(out.read_text())["results"]
+    assert {(row["suite"] == "quadratic-mean", row["pass"]) for row in rows} == {(True, False), (False, True)}
+
+
+# the families whose bounds the paper states with explicit constants
+EXPLICIT_FAMILIES = {"geometric", "gauss-complete", "gauss-incomplete", "gcd-average", "vdc"}
+
+
+@pytest.mark.parametrize("family, name", [("gauss-complete", "gauss_complete"), ("weyl", "weyl_quadratic")])
+def test_expsum_violation_exits_one_only_for_explicit_families(family, name, tmp_path, monkeypatch):
+    # an evaluator 1e-6 relative above its bound fails an explicit family's rows;
+    # an implicit family records no pass flag, so it never fails
+    evaluator = getattr(xs, name)
+
+    def above_bound(*args):
+        _, bound = evaluator(*args)
+        return bound * (1 + 1e-6), bound
+
+    monkeypatch.setattr(xs, name, above_bound)
+    code, out = run_cli(["expsum", "--family", family, "--seed", "1"], tmp_path)
+    rows = json.loads(out.read_text())["results"]
+    if family in EXPLICIT_FAMILIES:
+        assert code == cli.EXIT_VIOLATION and {row["pass"] for row in rows} == {False}
+    else:
+        assert code == cli.EXIT_OK and {row["pass"] for row in rows} == {None}
+
+
+def test_expsum_pass_flag_only_for_explicit_families(tmp_path):
+    for family in cli.EXPSUM_FAMILIES:
+        code, out = run_cli(["expsum", "--family", family, "--seed", "1"], tmp_path)
+        assert code == cli.EXIT_OK
+        flags = {(row["explicit_constant"], row["pass"]) for row in json.loads(out.read_text())["results"]}
+        assert flags == ({(True, True)} if family in EXPLICIT_FAMILIES else {(False, None)}), family
+
+
+def test_ratio_and_pass_rule():
+    # (exact, bound, ratio): a zero bound gives 0.0 or inf, any other bound divides
+    cases = ((3.0, 4.0, 0.75), (0.0, 0.0, 0.0), (-1e-9, 0.0, math.inf), (2.0, -4.0, -0.5))
+    for exact, bound, ratio in cases:
+        assert cli._ratio(exact, bound) == ratio
+        assert cli._check_row("s", "l", exact, bound, "upper", 0.0)["ratio"] == ratio
+    # pass compares exact with bound + tol, not the ratio with 1: at a zero bound
+    # an infinite ratio can pass
+    assert cli._passes(-1e-9, 0.0, "upper", 0.0)
+    assert not cli._passes(1e-9, 0.0, "upper", 0.0)
+    assert cli._passes(1.0, 1.0 + 1e-10, "identity", 1e-9)
+    assert not cli._passes(1.0, 1.0 + 1e-8, "identity", 1e-9)
 
 
 def test_reports_byte_identical(tmp_path):
@@ -454,3 +510,5 @@ def test_fuzz_argv(argv, tmp_path_factory):
         jsonschema.validate(report, SCHEMA)
         for value, row, key in _nonfinite(report):
             assert (key, value, row.get("bound")) == ("ratio", math.inf, 0), argv
+        if report["command"] == "expsum":
+            assert all(row["explicit_constant"] == (row["pass"] is not None) for row in report["results"])

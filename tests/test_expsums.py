@@ -1,33 +1,24 @@
-"""Exponential-sum evaluators and their bound reports."""
+"""Exponential-sum evaluators and the (exact, bound) pairs of their inequalities."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import holds
 
 from sqdigits import expsums as xs
 from sqdigits.errors import DomainError
 
 
-def test_ratio_rule_shared_by_reports_and_rows():
-    from sqdigits.cli import _check_row
-
-    # (exact, bound, ratio): a zero bound gives 0.0 or inf, any other bound divides
-    cases = ((3.0, 4.0, 0.75), (0.0, 0.0, 0.0), (-1e-9, 0.0, math.inf), (2.0, -4.0, -0.5))
-    for exact, bound, ratio in cases:
-        assert xs.BoundReport(exact, bound, explicit_constant=True).ratio == ratio
-        assert _check_row("s", "l", exact, bound, "upper", 0.0)["ratio"] == ratio
-
-
 def test_geometric_examples():
-    r = xs.geometric_sum(0, 4, 0.5)
-    assert r.exact < 1e-12 and r.bound == 1.0 and r.explicit_constant
-    r = xs.geometric_sum(0, 100, 0.0)
-    assert abs(r.exact - 100.0) < 1e-9 and r.bound == 100.0  # equality at xi = 0
+    exact, bound = xs.geometric_sum(0, 4, 0.5)
+    assert exact < 1e-12 and bound == 1.0
+    exact, bound = xs.geometric_sum(0, 100, 0.0)
+    assert abs(exact - 100.0) < 1e-9 and bound == 100.0  # equality at xi = 0
     r = xs.geometric_sum(0, 100, 1 / 7)
-    assert r.exact <= 1.0 / math.sin(math.pi / 7) + 1e-12
-    assert r.holds
+    assert r[0] <= 1.0 / math.sin(math.pi / 7) + 1e-12
+    assert holds(r)
 
 
 def test_geometric_random_sweep():
@@ -35,38 +26,38 @@ def test_geometric_random_sweep():
     for _ in range(2000):
         L1 = int(rng.integers(-200, 200))
         L2 = L1 + int(rng.integers(0, 800))
-        r = xs.geometric_sum(L1, L2, float(rng.random()))
-        assert r.holds
+        assert holds(xs.geometric_sum(L1, L2, float(rng.random())))
 
 
 def test_min_sum():
-    r = xs.min_sum(0, 1, 5.0, math.sqrt(2) / 2, 0.1)
-    assert r.exact <= 5.0 and not r.explicit_constant
-    r = xs.min_sum(0, 1000, 50.0, 1 / math.sqrt(2), 0.0)
-    assert math.isfinite(r.ratio)
+    exact, _ = xs.min_sum(0, 1, 5.0, math.sqrt(2) / 2, 0.1)
+    assert exact <= 5.0
+    exact, bound = xs.min_sum(0, 1000, 50.0, 1 / math.sqrt(2), 0.0)
+    assert math.isfinite(exact / bound)
     # ratio stays bounded by twice its first value over a doubling sweep
-    ratios = [xs.min_sum(0, N, 50.0, 1 / math.sqrt(2), 0.0).ratio for N in (100, 1000, 10000)]
+    pairs = [xs.min_sum(0, N, 50.0, 1 / math.sqrt(2), 0.0) for N in (100, 1000, 10000)]
+    ratios = [exact / bound for exact, bound in pairs]
     assert max(ratios) <= 2.0 * ratios[0]
     with pytest.raises(DomainError):
         xs.min_sum(0, 10, 5.0, 3.0, 0.0)
 
 
 def test_gauss_complete_examples():
-    r = xs.gauss_complete(0, 0, 9)
-    assert abs(r.exact - 9.0) < 1e-12 and abs(r.bound - 9.0 * math.sqrt(2)) < 1e-12
-    r = xs.gauss_complete(1, 0, 4)
-    assert abs(r.exact - 2.0 * math.sqrt(2)) < 1e-12
-    assert abs(r.exact - r.bound) < 1e-12  # equality instance
-    r = xs.gauss_complete(3, 1, 17)
-    assert abs(r.exact - math.sqrt(17.0)) < 1e-9
-    assert abs(r.bound - math.sqrt(34.0)) < 1e-12
+    exact, bound = xs.gauss_complete(0, 0, 9)
+    assert abs(exact - 9.0) < 1e-12 and abs(bound - 9.0 * math.sqrt(2)) < 1e-12
+    exact, bound = xs.gauss_complete(1, 0, 4)
+    assert abs(exact - 2.0 * math.sqrt(2)) < 1e-12
+    assert abs(exact - bound) < 1e-12  # equality instance
+    exact, bound = xs.gauss_complete(3, 1, 17)
+    assert abs(exact - math.sqrt(17.0)) < 1e-9
+    assert abs(bound - math.sqrt(34.0)) < 1e-12
 
 
 def test_gauss_complete_exhaustive_small():
     for m in range(1, 25):
         for a in range(m):
             for b in range(m):
-                assert xs.gauss_complete(a, b, m).holds
+                assert holds(xs.gauss_complete(a, b, m))
 
 
 def test_gauss_complete_large_modulus_against_python_ints():
@@ -74,16 +65,16 @@ def test_gauss_complete_large_modulus_against_python_ints():
     # n*n first to match the Python-int sum of the same terms (true sum 0:
     # m = 0 mod 4 and b odd)
     m = 2_100_000
-    r = xs.gauss_complete(m - 1, 1, m)
-    reference = xs.gauss_incomplete(m - 1, 1, m, -1, m)
-    assert r.exact < 1e-6 and abs(r.exact - reference.exact) < 1e-6
+    exact, _ = xs.gauss_complete(m - 1, 1, m)
+    reference, _ = xs.gauss_incomplete(m - 1, 1, m, -1, m)
+    assert exact < 1e-6 and abs(exact - reference) < 1e-6
 
 
 def test_gauss_incomplete():
-    assert xs.gauss_incomplete(3, 1, 7, 5, 0).exact == 0.0
-    r = xs.gauss_incomplete(1, 0, 4, 0, 4)
-    assert abs(r.exact - 2 * math.sqrt(2)) < 1e-12
-    assert abs(r.bound - (4 / 4 + 1 + (2 / math.pi) * math.log(8 / math.pi)) * math.sqrt(8)) < 1e-12
+    assert xs.gauss_incomplete(3, 1, 7, 5, 0)[0] == 0.0
+    exact, bound = xs.gauss_incomplete(1, 0, 4, 0, 4)
+    assert abs(exact - 2 * math.sqrt(2)) < 1e-12
+    assert abs(bound - (4 / 4 + 1 + (2 / math.pi) * math.log(8 / math.pi)) * math.sqrt(8)) < 1e-12
     rng = np.random.default_rng(23)
     for _ in range(300):
         m = int(rng.integers(1, 65))
@@ -94,17 +85,17 @@ def test_gauss_incomplete():
             int(rng.integers(0, 50)),
             int(rng.integers(0, 3 * m + 1)),
         )
-        assert r.holds
+        assert holds(r)
 
 
 def test_weyl_quadratic():
-    r = xs.weyl_quadratic(Fraction(1, 5), 0.0, 0.0, 0, 5, 1, 5)
-    assert math.isfinite(r.ratio) and not r.explicit_constant
-    r = xs.weyl_quadratic(Fraction(1, 5), 0.3, 0.7, 10, 1, 1, 5)
-    assert abs(r.exact - 1.0) < 1e-12  # single term has modulus 1
+    exact, bound = xs.weyl_quadratic(Fraction(1, 5), 0.0, 0.0, 0, 5, 1, 5)
+    assert math.isfinite(exact / bound)
+    exact, _ = xs.weyl_quadratic(Fraction(1, 5), 0.3, 0.7, 10, 1, 1, 5)
+    assert abs(exact - 1.0) < 1e-12  # single term has modulus 1
     golden = (math.sqrt(5.0) - 1.0) / 2.0
-    r = xs.weyl_quadratic(golden, 0.0, 0.0, 0, 10**4, 13, 21)
-    assert math.isfinite(r.ratio)
+    exact, bound = xs.weyl_quadratic(golden, 0.0, 0.0, 0, 10**4, 13, 21)
+    assert math.isfinite(exact / bound)
     with pytest.raises(DomainError):
         xs.weyl_quadratic(0.5, 0.0, 0.0, 0, 10, 1, 1)  # m = 1 < 2
     with pytest.raises(DomainError):
@@ -114,11 +105,10 @@ def test_weyl_quadratic():
 
 
 def test_gcd_average():
-    r = xs.gcd_average(1, 37, 2.0)
-    assert r.exact == 1.0 and r.bound == 1.0
-    r = xs.gcd_average(6, 6, 1.0)
-    assert abs(r.exact - 2.5) < 1e-12 and r.bound == 4.0
-    assert xs.gcd_average(12, 100, 0.5).holds
+    assert xs.gcd_average(1, 37, 2.0) == (1.0, 1.0)
+    exact, bound = xs.gcd_average(6, 6, 1.0)
+    assert abs(exact - 2.5) < 1e-12 and bound == 4.0
+    assert holds(xs.gcd_average(12, 100, 0.5))
 
 
 def test_gcd_average_exhaustive():
@@ -129,7 +119,7 @@ def test_gcd_average_exhaustive():
         bound = xs.sigma(0.0, m)
         assert float(np.max(prefix_means)) <= bound + 1e-9
         # spot check through the public operation
-        assert xs.gcd_average(m, 500, 1.0).holds
+        assert holds(xs.gcd_average(m, 500, 1.0))
 
 
 def test_divisor_bounds():
@@ -211,10 +201,10 @@ def test_bilinear_bound_families():
 def test_second_derivative_scaling():
     # theta large enough that the N-term of the bound dominates from N=64 on
     theta = 1.0 / (10.0 * math.sqrt(2.0))
-    base = xs.second_derivative_report(theta, 64)
-    C = base.ratio
+    exact, bound = xs.second_derivative_report(theta, 64)
+    C = exact / bound
     for N in (128, 256, 512, 1024, 2048, 4096):
-        r = xs.second_derivative_report(theta, N)
-        assert r.ratio <= 2.0 * C
+        exact, bound = xs.second_derivative_report(theta, N)
+        assert exact / bound <= 2.0 * C
     with pytest.raises(DomainError):
         xs.second_derivative_report(0.0, 16)

@@ -201,12 +201,12 @@ def test_chi_star_self_convolution_support():
     # triangular closed form vanishes exactly at ||x|| >= alpha; cross-check the
     # series representation sum |chi-hat|^2 e(hx) by truncation
     for x in (0.25, 0.3, 0.5, 0.74):
-        assert vaaler.chi_star_self_convolution(alpha, x) == 0.0
+        assert oracles.chi_star_self_convolution(alpha, x) == 0.0
     hs = np.arange(-4000, 4001)
     coeffs = vaaler._coeff_chi_star(alpha, hs)
     for x in (0.0, 0.1, 0.2, 0.3, 0.6):
         series = float(np.sum(coeffs**2 * np.exp(2j * np.pi * hs * x)).real)
-        assert abs(series - vaaler.chi_star_self_convolution(alpha, x)) < 1e-4
+        assert abs(series - oracles.chi_star_self_convolution(alpha, x)) < 1e-4
 
 
 def test_twisted_zero_value():
