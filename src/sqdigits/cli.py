@@ -33,10 +33,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import fourier, harness, sieve, vaaler
+from . import fourier, harness, vaaler
 from . import expsums as xs
 from .errors import CapacityError, DomainError, PreconditionError
-from .qmult import MAX_DIGIT_Q, StronglyQMultiplicative, _circle_distance, is_proper, make_digit_exponential
+from .qmult import StronglyQMultiplicative, _circle_distance, is_proper, make_digit_exponential
 
 SCHEMA = "report-v2"
 
@@ -205,12 +205,11 @@ ALMOST_AP_LAM_MAX = 8
 
 
 def check_config(config: RunConfig) -> None:
-    """Refuse config before any work: the one place the CLI decides that.
-
-    Raises PreconditionError or DomainError (exit 2) for input its subcommand
-    does not accept, CapacityError (exit 3) for input above a cap.  The
-    library keeps its own checks; this runs them, or compares against their
-    caps, ahead of the first cost.
+    """Refuse config before any work: PreconditionError or DomainError (exit 2),
+    CapacityError (exit 3).  Only the output path, q >= 2, seed >= 0 and
+    verify's caps are the CLI's own rules; every other rule is raised by the
+    library function that owns it, and is run from here where the CLI would
+    build f or draw coefficients first (compute_constants is cached).
     """
     command, q = config.command, config.q
     if config.output_path != "-":
@@ -239,32 +238,14 @@ def check_config(config: RunConfig) -> None:
             )
     elif command == "typesums":
         harness.rectangle_shape(q, config.mu, config.nu)
-    elif command == "equidist":
-        if config.m < 2:
-            raise PreconditionError(f"need m >= 2, got {config.m}")
-        if q >= 2**64:
-            raise CapacityError(f"q = {q} exceeds 2**64 - 1, the largest base of the uint64 digit kernel")
-        if config.m > harness.EQUIDIST_BIN_CAP:
-            raise CapacityError(f"m = {config.m} residue bins exceed the bin cap {harness.EQUIDIST_BIN_CAP}")
-        if config.x > sieve.PRIME_CAP:
-            raise CapacityError(f"x = {config.x} exceeds the prime cap {sieve.PRIME_CAP}")
     elif command == "decay":
-        xs_list = config.xs_list
-        if len(xs_list) < 3 or any(b <= a for a, b in zip(xs_list, xs_list[1:])):
-            raise PreconditionError(f"need at least 3 strictly increasing x values, got {xs_list}")
-        if q > MAX_DIGIT_Q:
-            raise CapacityError(f"q = {q} exceeds the digit function cap {MAX_DIGIT_Q}")
-        if max(xs_list) > harness.LAMBDA_SUM_CAP:
-            raise CapacityError(f"x = {max(xs_list)} exceeds the cap {harness.LAMBDA_SUM_CAP}")
-    elif command not in ("constants", "expsum"):
+        harness.check_decay_xs(config.xs_list)
+    elif command not in ("constants", "equidist", "expsum"):
         raise PreconditionError(f"unknown command {command!r}")
-    if command in ("constants", "typesums") and q > fourier.MAX_CONSTANTS_Q:
-        raise CapacityError(
-            f"q = {q} exceeds {fourier.MAX_CONSTANTS_Q}: the {fourier.GRID_DENSITY}*q grid "
-            f"of the constants outgrows table capacity {fourier.TABLE_CAPACITY}"
-        )
-    if command in ("verify", "typesums") and not is_proper(_f_of(config)):
-        raise DomainError("constants are only defined for proper functions")
+    if command in ("constants", "typesums"):
+        fourier.constants_grid_size(q)
+    if command in ("verify", "typesums"):
+        fourier.compute_constants(_f_of(config))
 
 
 def _verify_rows(config: RunConfig) -> list[dict]:

@@ -279,23 +279,29 @@ def psi_q(f: StronglyQMultiplicative, t) -> np.ndarray:
     return total
 
 
-@lru_cache(maxsize=32)
-def compute_constants(f: StronglyQMultiplicative) -> SpectralConstants:
-    """c from max |F_1(t) F_1(qt)|, eta from max Psi_q; grid + refinement.
-
-    Raises DomainError for improper f (there the maximum is 1 and c would
-    degenerate to 0), and CapacityError before any allocation when the
-    GRID_DENSITY*q grid exceeds TABLE_CAPACITY (q > MAX_CONSTANTS_Q).
-    """
-    q = f.q
+def constants_grid_size(q: int) -> int:
+    """GRID_DENSITY*q, the grid of compute_constants at base q, refused above
+    TABLE_CAPACITY (q > MAX_CONSTANTS_Q) before any f is needed."""
     if q > MAX_CONSTANTS_Q:
         raise CapacityError(
             f"q = {q} exceeds {MAX_CONSTANTS_Q}: the {GRID_DENSITY}*q grid outgrows "
             f"table capacity {TABLE_CAPACITY}"
         )
+    return GRID_DENSITY * q
+
+
+@lru_cache(maxsize=32)
+def compute_constants(f: StronglyQMultiplicative) -> SpectralConstants:
+    """c from max |F_1(t) F_1(qt)|, eta from max Psi_q; grid + refinement.
+
+    Raises CapacityError before any allocation when the grid of
+    constants_grid_size is refused, and then DomainError for improper f
+    (there the maximum is 1 and c would degenerate to 0).
+    """
+    q = f.q
+    n = constants_grid_size(q)
     if not is_proper(f):
         raise DomainError("constants are only defined for proper functions")
-    n = GRID_DENSITY * q
 
     def g_vec(ts: np.ndarray) -> np.ndarray:
         return np.abs(eval_F1(f, ts)) * np.abs(eval_F1(f, q * ts))

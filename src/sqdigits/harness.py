@@ -175,11 +175,13 @@ class EquidistReport:
 
 
 def equidist_counts(x: int, q: int, m: int) -> EquidistReport:
-    """Stream primes, bin s_q(p^2) mod m, report the discrepancy.  Each prime
-    segment is binned KERNEL_BLOCK primes at a time, so that every temporary
-    is one block long."""
+    """Stream primes, bin s_q(p^2) mod m, report the discrepancy; the caps on q,
+    m and x (in prime_arrays) are checked first.  Each prime segment is binned
+    KERNEL_BLOCK primes at a time, so that every temporary is one block long."""
     if q < 2 or m < 2:
         raise ValueError(f"need q >= 2 and m >= 2, got ({q}, {m})")
+    if q >= 2**64:
+        raise CapacityError(f"q = {q} exceeds 2**64 - 1, the largest base of the uint64 digit kernel")
     if m > EQUIDIST_BIN_CAP:
         raise CapacityError(f"m = {m} residue bins exceed the bin cap {EQUIDIST_BIN_CAP}")
     counts = np.zeros(m, dtype=np.int64)
@@ -211,30 +213,44 @@ def _lambda_sums(xs: list[int], f: StronglyQMultiplicative, theta: float) -> lis
     """lambda_weighted_sum at every x in xs, from one prime stream up to max(xs).
 
     Only prime powers contribute.  Primes are handled in vectorized blocks of
-    KERNEL_BLOCK, each weighted once; an x whose cut falls inside a block
-    takes the sum of the block's first terms, so every x adds exactly what a
-    stream up to x alone would add, in the same order.  The higher powers
-    p**k (p <= sqrt x) follow per x, one exponent k at a time.
+    KERNEL_BLOCK, each weighted once; each x takes the sum of the block's
+    first terms, those up to x, so it adds exactly what a stream up to x alone
+    would add, in the same order.  The powers p**k, k >= 2, follow from one
+    stream up to sqrt(max(xs)), one exponent k at a time, cut alike.  An empty
+    cut adds 0j, which changes no total: each starts at +0.0, so is never -0.0.
     """
-    if max(xs) > LAMBDA_SUM_CAP:
-        raise CapacityError(f"x = {max(xs)} exceeds the cap {LAMBDA_SUM_CAP}")
+    _check_lambda_x(max(xs))
     totals = [0.0 + 0.0j] * len(xs)
     for arr in prime_arrays(max(xs)):
         for start in range(0, len(arr), KERNEL_BLOCK):
             p = arr[start : start + KERNEL_BLOCK]
             w = np.log(p.astype(np.float64)) * _twisted_square(f, p.astype(np.uint64), theta)
-            for i, k in enumerate(np.searchsorted(p, xs, side="right").tolist()):
-                if k:  # the first k terms are those up to xs[i]
-                    totals[i] += complex(np.sum(w[:k]))
-    for i, x in enumerate(xs):
-        for arr in prime_arrays(math.isqrt(x)):
-            p = arr.astype(np.uint64)
-            logp, pk = np.log(arr.astype(np.float64)), p * p
-            while p.size:
-                totals[i] += complex(np.sum(logp * _twisted_square(f, pk, theta)))
-                keep = pk <= x // p
-                p, logp, pk = p[keep], logp[keep], pk[keep] * p[keep]
+            for i, cut in enumerate(np.searchsorted(p, xs, side="right").tolist()):
+                totals[i] += complex(np.sum(w[:cut]))
+    for arr in prime_arrays(math.isqrt(max(xs))):
+        p = arr.astype(np.uint64)
+        logp, pk = np.log(arr.astype(np.float64)), p * p
+        while p.size:
+            w = logp * _twisted_square(f, pk, theta)
+            for i, cut in enumerate(np.searchsorted(pk, xs, side="right").tolist()):
+                totals[i] += complex(np.sum(w[:cut]))
+            keep = pk <= max(xs) // p
+            p, logp, pk = p[keep], logp[keep], pk[keep] * p[keep]
     return totals
+
+
+def _check_lambda_x(x: int) -> None:
+    """Refuse x above LAMBDA_SUM_CAP, before any prime is sieved or g is tabulated."""
+    if x > LAMBDA_SUM_CAP:
+        raise CapacityError(f"x = {x} exceeds the cap {LAMBDA_SUM_CAP}")
+
+
+def check_decay_xs(xs) -> None:
+    """Refuse xs that decay_fit does not take, before any f is needed: fewer
+    than 3, not strictly increasing, or one above LAMBDA_SUM_CAP."""
+    if len(xs) < 3 or any(b <= a for a, b in zip(xs, xs[1:])):
+        raise PreconditionError(f"need at least 3 strictly increasing x values, got {xs}")
+    _check_lambda_x(max(xs))
 
 
 @dataclass(frozen=True)
@@ -248,10 +264,7 @@ class DecayFit:
 
 def decay_fit(xs: list[int], f: StronglyQMultiplicative, theta: float) -> DecayFit:
     """Least-squares slope of log(|S(x)|/x) against log x; negative means power saving."""
-    if len(xs) < 3:
-        raise PreconditionError(f"need at least 3 x values, got {len(xs)}")
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise PreconditionError("xs must be strictly increasing")
+    check_decay_xs(xs)
     values = [abs(s) / x for s, x in zip(_lambda_sums(xs, f, theta), xs)]
     slope = float(np.polyfit(np.log(np.array(xs, dtype=float)), np.log(values), 1)[0])
     return DecayFit(xs=tuple(xs), values=tuple(values), fitted_exponent=slope)
@@ -475,8 +488,7 @@ def vaughan_probe(x: int, q: int, f: StronglyQMultiplicative, theta: float) -> V
     """
     if x < q * q:
         raise PreconditionError(f"need x >= q^2, got x={x}")
-    if x > LAMBDA_SUM_CAP:
-        raise CapacityError(f"x = {x} exceeds the cap {LAMBDA_SUM_CAP}")
+    _check_lambda_x(x)
 
     type1_max = type2_max = 0.0
     type1_arg = type2_arg = pair_count = 0

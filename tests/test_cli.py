@@ -312,20 +312,26 @@ REFUSED = [
      ("sqdigits.fourier.quadratic_mean", "numpy.random.default_rng")),
     (["constants", "--q", "1000000"], cli.EXIT_CAPACITY, "grid",
      ("sqdigits.cli.make_digit_exponential",)),
+    # make_digit_exponential refuses q itself; the function it returns is built last
     (["decay", "--q", str(10**29), "--xs", "10,20,30"], cli.EXIT_CAPACITY, "digit function cap",
-     ("sqdigits.cli.make_digit_exponential", "sqdigits.harness._lambda_sums")),
+     ("sqdigits.qmult.StronglyQMultiplicative", "sqdigits.harness._lambda_sums")),
     (["decay", "--xs", "1e7,1e8,2e8"], cli.EXIT_CAPACITY, "exceeds the cap",
      ("sqdigits.harness._lambda_sums",)),
+    # a digit function at q = 2**20 takes seconds to build: the x values go first
+    (["decay", "--q", "1048576", "--xs", "1e7,1e8,2e8"], cli.EXIT_CAPACITY, "exceeds the cap",
+     ("sqdigits.cli.make_digit_exponential", "sqdigits.harness._lambda_sums")),
     (["equidist", "--q", str(2**64)], cli.EXIT_CAPACITY, "uint64 digit kernel",
-     ("sqdigits.harness.equidist_counts",)),
+     ("sqdigits.harness.prime_arrays",)),
     (["equidist", "--m", str(2**16 + 1)], cli.EXIT_CAPACITY, "bin cap",
-     ("sqdigits.harness.equidist_counts",)),
+     ("sqdigits.harness.prime_arrays",)),
     (["equidist", "--m", "10000000000"], cli.EXIT_CAPACITY, "bin cap",
-     ("sqdigits.harness.equidist_counts",)),
+     ("sqdigits.harness.prime_arrays",)),
     (["equidist", "--m", str(2**62)], cli.EXIT_CAPACITY, "bin cap",
-     ("sqdigits.harness.equidist_counts",)),
+     ("sqdigits.harness.prime_arrays",)),
     (["typesums", "--q", "3", "--gamma", "1/3", "--mu", "30000000", "--nu", "1"],
      cli.EXIT_CAPACITY, "working range", ("numpy.random.default_rng",)),
+    (["typesums", "--q", "3", "--gamma", "1/2"], cli.EXIT_USAGE, "proper",
+     ("numpy.random.default_rng",)),
 ]
 
 

@@ -164,6 +164,8 @@ def test_equidist_partition_and_flags():
     assert len(harness.equidist_counts(100, 2, harness.EQUIDIST_BIN_CAP).counts) == harness.EQUIDIST_BIN_CAP
     with pytest.raises(CapacityError):
         harness.equidist_counts(100, 2, harness.EQUIDIST_BIN_CAP + 1)
+    with pytest.raises(CapacityError, match="uint64 digit kernel"):
+        harness.equidist_counts(10, 2**64, 2)
 
 
 def test_equidist_memory_is_the_sieve_s():
@@ -245,7 +247,7 @@ def test_decay_fit_is_one_sweep_of_one_x_sums(monkeypatch):
     monkeypatch.setattr(harness, "prime_arrays", counted)
     fit = harness.decay_fit(xs, TM, theta)
     assert fit.values == tuple(abs(s) / x for s, x in zip(expected, xs))
-    assert [x for x in streams if x > math.isqrt(xs[-1])] == [xs[-1]]  # one stream, plus the tails
+    assert streams == [xs[-1], math.isqrt(xs[-1])]  # one stream for the primes, one for their powers
 
 
 def test_vaughan_lambda_sum_is_two_call_difference():

@@ -1,5 +1,5 @@
 """Source hygiene: every private module-level name, every public function and every
-import of the package is used."""
+import of the package is used, and each capacity refusal is raised in one place."""
 
 import ast
 import re
@@ -77,3 +77,22 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in _module_imports(tree) if name not in used]
     assert unused == []
+
+
+def _message_template(node):
+    """The literal text of a message string, each formatted value written as {}."""
+    parts = node.values if isinstance(node, ast.JoinedStr) else [node]
+    return "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in parts)
+
+
+def test_each_capacity_refusal_is_raised_once():
+    # a cap checked in two places drifts apart; each is raised by the one
+    # function that owns it, and others call that function
+    raised = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "CapacityError"):
+                template = _message_template(node.exc.args[0])
+                raised.setdefault(template, []).append(f"{path.name}:{node.lineno}")
+    assert {template: where for template, where in raised.items() if len(where) > 1} == {}
