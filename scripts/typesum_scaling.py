@@ -5,10 +5,14 @@ Type II uses random unimodular coefficients (averaged over a few draws to
 tame the ~50% fluctuation of a single draw); type I runs with full inner
 intervals.  Both normalized values should shrink as the rectangles grow.
 The Vaughan probe then compares the Lambda sum against the larger of the
-two families, reporting the fitted constant of the combinatorial identity.
+two families, reporting the fitted constant of the combinatorial identity,
+with each probe's wall time (time.perf_counter) and the process's peak
+resident memory after it (ru_maxrss); x ascends, so each peak is that
+probe's unless an earlier step of the script peaked higher.
 """
 
 import argparse
+import resource
 import time
 
 import numpy as np
@@ -43,12 +47,14 @@ def main() -> None:
 
     print("vaughan probe (fitted C of the combinatorial identity):")
     for x in (10**4, 10**5, 10**6, 10**7):
-        t0 = time.time()
+        t0 = time.perf_counter()
         vp = vaughan_probe(x, 2, f, 0.0)
+        seconds = time.perf_counter() - t0
+        peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
         print(
             f"  x={x:>8d}: typeI={vp.type1_max:10.1f}  typeII>={vp.type2_max:10.1f}  "
             f"|Lambda sum|={abs(vp.lambda_sum):8.1f}  C={vp.fitted_C:.6f}  "
-            f"[{time.time() - t0:.1f}s]"
+            f"[{seconds:.2f} s, peak RSS {peak_mib:.0f} MiB]"
         )
 
 

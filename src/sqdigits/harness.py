@@ -12,13 +12,13 @@ lookup, rational phases as exact numerators mod D) with numpy's pairwise
 reduction; identical inputs therefore give bitwise identical reports.  A
 numerator k becomes e(k/D) by one division and exp, or, with no twist and
 D <= DIGIT_TABLE_CAP, by a lookup in a table of the D roots of unity built
-from the same k/D, so both give the same bits.  Every
-bilinear sum reads a zero-padded (m, n) block of g(mn) = f((mn)^2) e(theta mn).
-type_sums never holds its whole q-adic rectangle: it builds one chunk of
-whole rows of at most KERNEL_BLOCK pairs per kernel call and adds each
-chunk to three running totals (S_20, S_I and its suffix maximum).  The
-Vaughan probe evaluates g once on (x/q, x], where all its products lie, and
-copies each row of each q-adic block as a strided slice of that table.
+from the same k/D, so both give the same bits.  Every bilinear sum reads a
+padded (m, n) block of g(mn) = f((mn)^2) e(theta mn): type_sums one chunk of
+whole rows (at most KERNEL_BLOCK pairs) per kernel call, added to running
+totals of S_20, S_I and its suffix maximum; the Vaughan probe each q-adic
+block, copied along its shorter axis from one table of g on (x/q, x].  Where
+g is gathered, the table holds the numerators k (2 bytes below D = 2**16),
+and each block is gathered into one complex buffer that all blocks reuse.
 
 Parameter plans reproduce the explicit recipes used to make the type II
 and type I machinery non-trivial: every derived quantity is integer
@@ -144,21 +144,26 @@ def _root_table(denom: int) -> np.ndarray:
     return roots
 
 
-def _twisted_square(f: StronglyQMultiplicative, n: np.ndarray, theta: float) -> np.ndarray:
-    """f(n^2) e(theta n) at a uint64 array n; theta is reduced mod 1 first
-    (exactly), so that theta * n keeps the digits of the phase.  Untwisted
-    exact phases over a denominator D <= DIGIT_TABLE_CAP are gathered from
-    the D roots of unity instead of an exp per element."""
+def _square_codes(f: StronglyQMultiplicative, n: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """(codes, roots) with f(n^2) e(theta n) = roots[codes] at a uint64 array n, or
+    (values, None); theta is reduced mod 1 first (exactly), so theta * n keeps the
+    phase's digits.  Only untwisted exact phases over D <= DIGIT_TABLE_CAP are codes."""
     theta = math.fmod(theta, 1.0)
     if theta == 0.0:
         nums, modulus = _phase_numerators(f, n * n)
         if isinstance(modulus, int) and modulus <= DIGIT_TABLE_CAP:
-            return _root_table(modulus).take(nums)
+            return nums, _root_table(modulus)
         phases = nums / modulus
     else:  # through phase_array, which the benchmark's per-layer trace times
         phases = phase_array(f, n * n)
         phases += frac(theta * n.astype(np.float64))
-    return np.exp(2j * np.pi * phases)
+    return np.exp(2j * np.pi * phases), None
+
+
+def _twisted_square(f: StronglyQMultiplicative, n: np.ndarray, theta: float) -> np.ndarray:
+    """f(n^2) e(theta n) at a uint64 array n: the values, or the codes gathered."""
+    codes, roots = _square_codes(f, n, theta)
+    return codes if roots is None else roots.take(codes)
 
 
 @dataclass(frozen=True)
@@ -282,16 +287,21 @@ def _rectangle(
     return dense
 
 
-def _strided_rows(
-    g: np.ndarray, k0: int, m: np.ndarray, lo: np.ndarray, size: np.ndarray
-) -> np.ndarray:
-    """Dense g(mn) for int64 rows m from the table g[k - k0] = g(k): row i
-    holds n = lo[i], ..., lo[i] + size[i] - 1, zero-padded on the n-grid the
-    rows share, and is the table's slice with stride m[i] from k = m[i] lo[i]."""
-    n_min = int(lo.min())
-    dense = np.zeros((m.size, int((lo + size).max()) - n_min), dtype=np.complex128)
-    for row, mi, n0, count in zip(dense, m.tolist(), lo.tolist(), size.tolist()):
-        row[n0 - n_min : n0 - n_min + count] = g[mi * n0 - k0 : mi * (n0 + count) - k0 : mi]
+def _strided_rows(g: np.ndarray, k0: int, m: np.ndarray, lo: np.ndarray, size: np.ndarray, pad) -> np.ndarray:
+    """Dense g(mn) from the table g[k - k0] = g(k), in its dtype, for consecutive rows m: row i holds
+    lo[i] <= n < lo[i] + size[i], pad elsewhere.  Copied along the shorter axis: row i is the slice of
+    stride m[i] from k = m[i] lo[i]; column n, held by the rows a <= i < b (one range, as lo and
+    lo + size do not increase), the slice of stride n from k = m[a] n."""
+    n_min, hi = int(lo.min()), lo + size
+    dense = np.full((m.size, int(hi.max()) - n_min), pad, dtype=g.dtype)
+    if m.size <= dense.shape[1]:
+        for row, mi, n0, count in zip(dense, m.tolist(), lo.tolist(), size.tolist()):
+            row[n0 - n_min : n0 - n_min + count] = g[mi * n0 - k0 : mi * (n0 + count) - k0 : mi]
+    else:
+        n = np.arange(n_min, n_min + dense.shape[1])
+        a, b = np.searchsorted(-lo, -n), np.searchsorted(-hi, -n)
+        for col, ni, k, ai, bi in zip(dense.T, n.tolist(), (m[a] * n - k0).tolist(), a.tolist(), b.tolist()):
+            col[ai:bi] = g[k : k + (bi - ai) * ni : ni]
     return dense
 
 
@@ -468,13 +478,39 @@ class VaughanProbe:
     fitted_C: float
 
 
+def _probe_blocks(
+    f: StronglyQMultiplicative, x: int, q: int, theta: float, Ms: list[int]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(size, dense) of the probe's block at each M in Ms (M/q < m <= M, x/(qm) < n <= x/m), sliced from
+    a table of g on (x/q, x] built KERNEL_BLOCK values at a time; codes are gathered into one buffer."""
+    k0, table = x // q + 1, None
+    for a in range(k0, x + 1, KERNEL_BLOCK):
+        codes, roots = _square_codes(f, np.arange(a, min(a + KERNEL_BLOCK, x + 1), dtype=np.uint64), theta)
+        if table is None:
+            pad, decode = (0, None) if roots is None else (roots.size, np.append(roots, 0j))
+            table = np.empty(x + 1 - k0, codes.dtype if roots is None else np.uint16 if pad < 2**16 else np.uint32)
+        table[a - k0 : a - k0 + codes.size] = codes
+    largest = max((min(M, x) - M // q) * (x // (M // q + 1) - x // (q * min(M, x))) for M in Ms)
+    out = np.empty(0 if roots is None else largest, dtype=np.complex128)
+    for M in Ms:
+        m = np.arange(M // q + 1, min(M, x) + 1, dtype=np.int64)  # larger m have no n
+        lo, size = x // (q * m) + 1, x // m - x // (q * m)
+        codes = _strided_rows(table, k0, m, lo, size, pad)
+        block = codes if roots is None else out[: codes.size].reshape(codes.shape)
+        for chunk in () if roots is None else _row_chunks(*codes.shape):
+            decode.take(codes[chunk], out=block[chunk])
+        del codes  # before the block is used
+        yield size, block
+        del block  # before the next block is built
+
+
 def vaughan_probe(x: int, q: int, f: StronglyQMultiplicative, theta: float) -> VaughanProbe:
     """Evaluate the two sum families feeding the combinatorial identity.
 
-    g(k) = f(k^2) e(theta k) is evaluated once on (x/q, x], where every mn
-    lies, a table of 16 (x - x//q) bytes.  Each q-adic M is one zero-padded
-    row block of its strided slices (_strided_rows): row m in (M/q, M] holds
-    x/(qm) < n <= x/m.
+    g(k) = f(k^2) e(theta k) is tabulated once on (x/q, x], where every mn
+    lies: 2 (x - x//q) bytes of numerators mod D where it is gathered (4 at
+    D = 2**16), else 16.  Each q-adic M is one padded row block of strided
+    slices of it (_probe_blocks): row m in (M/q, M] holds x/(qm) < n <= x/m.
 
     * type I (M <= x**BETA1): per m the maximum over all suffix intervals
       (t, x/m] is scanned exactly via cumulative sums along the padded row.
@@ -493,13 +529,8 @@ def vaughan_probe(x: int, q: int, f: StronglyQMultiplicative, theta: float) -> V
     type1_max = type2_max = 0.0
     type1_arg = type2_arg = pair_count = 0
     history: tuple[float, ...] = ()
-    k0 = x // q + 1
-    g = _twisted_square(f, np.arange(k0, x + 1, dtype=np.uint64), theta)
-    M = q
-    while M <= x ** (1.0 - BETA1):  # covers every type I block, as BETA1 < 1/3
-        m = np.arange(M // q + 1, min(M, x) + 1, dtype=np.int64)  # larger m have no n
-        lo, size = x // (q * m) + 1, x // m - x // (q * m)  # x/(qm) < n <= x/m
-        dense = _strided_rows(g, k0, m, lo, size)
+    Ms = [q**j for j in range(1, int(x).bit_length()) if q**j <= x ** (1.0 - BETA1)]  # type I too: BETA1 < 1/3
+    for M, (size, dense) in zip(Ms, _probe_blocks(f, x, q, theta, Ms)):
         if M <= x**BETA1:
             value = _suffix_max_sum(dense)
             if value > type1_max:
@@ -509,8 +540,6 @@ def vaughan_probe(x: int, q: int, f: StronglyQMultiplicative, theta: float) -> V
             if value > type2_max:
                 type2_max, type2_arg, history, pair_count = value, M, hist, int(size.sum())
         del dense  # before the next block is built
-        M *= q
-    del g  # before the Lambda sweep
 
     to_x, to_x_over_q = _lambda_sums([x, x // q], f, theta)
     lam_sum = to_x - to_x_over_q

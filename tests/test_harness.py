@@ -438,12 +438,19 @@ def test_vaughan_probe_type1_brute_force():
 
 
 def _vaughan_block(x, q, M, f, theta):
-    """The probe's row block at one q-adic M: x/(qm) < n <= x/m for
-    M/q < m <= min(M, x), sliced from its table of g(k) at x/q < k <= x."""
-    k0 = x // q + 1
-    g = harness._twisted_square(f, np.arange(k0, x + 1, dtype=np.uint64), theta)
-    m = np.arange(M // q + 1, min(M, x) + 1, dtype=np.int64)
-    return harness._strided_rows(g, k0, m, x // (q * m) + 1, x // m - x // (q * m))
+    """The probe's row block at one q-adic M, x/(qm) < n <= x/m for
+    M/q < m <= min(M, x), built by the probe's own table, block and gather."""
+    return next(harness._probe_blocks(f, x, q, theta, [M]))[1]
+
+
+class _SliceCounter(np.ndarray):
+    """An array that counts the slices taken of it."""
+
+    slices = 0
+
+    def __getitem__(self, key):
+        self.slices += 1
+        return super().__getitem__(key)
 
 
 def _vaughan_block_per_row(x, q, M, f, theta):
@@ -478,7 +485,7 @@ def _rectangle_in_7_pair_calls(monkeypatch, m, n, f, theta):
         return harness._rectangle(m, n, f, theta), calls
 
 
-def test_vaughan_block_matches_per_row_reference():
+def test_vaughan_block_matches_per_row_reference(monkeypatch):
     cases = [
         (200, 2, TM, 0.0),
         (200, 2, make_digit_exponential(2, Fraction(1, 3)), 0.37),
@@ -490,7 +497,26 @@ def test_vaughan_block_matches_per_row_reference():
         (5, 2, TM, 0.0),
         (9, 3, make_digit_exponential(3, Fraction(1, 3)), 0.0),
         (10, 3, make_digit_exponential(3, 0.3721), 0.25),
+        # the three edges of the code table: uint16 codes up to D = 2**16 - 1,
+        # wider codes at D = 2**16, whose pad code D needs 17 bits, and the
+        # complex table of the exp above DIGIT_TABLE_CAP
+        (300, 2, make_digit_exponential(2, Fraction(1, 65535)), 0.0),
+        (300, 2, make_digit_exponential(2, Fraction(12345, 65536)), 0.0),
+        (300, 3, make_digit_exponential(3, Fraction(1, 65537)), 0.0),
     ]
+    # each block's table dtype and copy axis: one slice of the table per row
+    # when the rows are no more than the columns, else one per column
+    copies = []
+    strided_rows = harness._strided_rows
+
+    def recording(g, k0, m, lo, size, pad):
+        table = g.view(_SliceCounter)
+        dense = strided_rows(table, k0, m, lo, size, pad)
+        assert table.slices == min(dense.shape)
+        copies.append((g.dtype, dense.shape[0] <= dense.shape[1]))
+        return dense
+
+    monkeypatch.setattr(harness, "_strided_rows", recording)
     capped = []
     for x, q, f, theta in cases:
         # q-adic M up to q*x, while M/q < x leaves a row: the last blocks hold
@@ -502,6 +528,8 @@ def test_vaughan_block_matches_per_row_reference():
             assert dense.tobytes() == ref_dense.tobytes()
             capped.append(dense.shape[0] < M - M // q)
     assert any(capped)
+    assert {dtype for dtype, _ in copies} == {np.dtype(np.uint16), np.dtype(np.uint32), np.dtype(np.complex128)}
+    assert {by_rows for _, by_rows in copies} == {True, False}
 
 
 def test_rectangle_matches_per_row_reference(monkeypatch):
@@ -547,33 +575,47 @@ def test_vaughan_probe_checks_cap_before_rows(monkeypatch):
     def no_rows(*args):
         raise AssertionError("a row was built before the cap check")
 
-    monkeypatch.setattr(harness, "_twisted_square", no_rows)
+    monkeypatch.setattr(harness, "_square_codes", no_rows)
     with pytest.raises(CapacityError):
         harness.vaughan_probe(harness.LAMBDA_SUM_CAP + 1, 2, TM, 0.0)
 
 
 def test_vaughan_probe_evaluates_its_window_once(monkeypatch):
-    # one kernel call builds the table of g on (x/q, x]; the row blocks only
-    # slice it, so every later call is the Lambda sweep's own
-    x, q = 10**5, 2
-    events = []
-    twisted_square, lambda_sums = harness._twisted_square, harness._lambda_sums
+    # the table of g on (x/q, x] is built by kernel calls on ascending chunks
+    # of at most KERNEL_BLOCK values that cover it exactly once (three chunks
+    # here); the row blocks only slice it, so every later call is the Lambda
+    # sweep's own
+    x, q = 3 * 10**5, 2
+    calls = []
+    square_codes, lambda_sums = harness._square_codes, harness._lambda_sums
 
     def counting(f, n, theta):
-        events.append(len(n))
-        return twisted_square(f, n, theta)
+        calls.append(n.copy())
+        return square_codes(f, n, theta)
 
     def marked(*args):
-        events.append("lambda")
+        calls.append("lambda")
         return lambda_sums(*args)
 
-    monkeypatch.setattr(harness, "_twisted_square", counting)
+    monkeypatch.setattr(harness, "_square_codes", counting)
     monkeypatch.setattr(harness, "_lambda_sums", marked)
     harness.vaughan_probe(x, q, TM, 0.0)
-    probe_events = list(events)
-    events.clear()
-    harness._lambda_sums([x, x // q], TM, 0.0)
-    assert probe_events == [x - x // q] + events
+    cut = [isinstance(c, str) for c in calls].index(True)
+    window, probe_sweep = calls[:cut], calls[cut + 1 :]
+    assert [len(n) for n in window] == [harness.KERNEL_BLOCK] * 2 + [x - x // q - 2 * harness.KERNEL_BLOCK]
+    assert np.concatenate(window).tolist() == list(range(x // q + 1, x + 1))
+    calls.clear()
+    lambda_sums([x, x // q], TM, 0.0)
+    assert len(probe_sweep) == len(calls) > 0
+    assert all(np.array_equal(a, b) for a, b in zip(probe_sweep, calls))
+
+
+def test_vaughan_probe_memory_is_the_code_table_s():
+    # the table of g holds 2-byte numerators (1 MB at x = 10**6, where a
+    # complex table took 8 MB) and every block is gathered into one reused
+    # complex buffer; 23.6 MiB before, about 18.7 MiB with both
+    harness.vaughan_probe(10**4, 2, TM, 0.0)  # builds the cached digit and root tables
+    assert _traced_peak(lambda: harness.vaughan_probe(10**6, 2, TM, 0.0)) <= 21 * 2**20
 
 
 def test_vaughan_probe_validation():
