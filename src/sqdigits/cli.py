@@ -93,14 +93,6 @@ class RunConfig:
         return Fraction(self.gamma)
 
 
-def _parse_gamma(text: str) -> str:
-    if not _GAMMA_RE.match(text):
-        raise argparse.ArgumentTypeError(
-            f"gamma must be an exact rational like 1/2 with a nonzero denominator, got {text!r}"
-        )
-    return text
-
-
 def _checked(convert, valid, what: str):
     """An argparse type: convert, then reject values failing valid, naming what."""
 
@@ -116,6 +108,7 @@ def _checked(convert, valid, what: str):
     return parse
 
 
+_parse_gamma = _checked(str, _GAMMA_RE.match, "gamma must be an exact rational like 1/2 with a nonzero denominator")
 _parse_x = _checked(lambda text: int(float(text)), lambda x: x >= 2, "x must be >= 2")
 _parse_theta = _checked(float, math.isfinite, "theta must be finite")
 _parse_exponent = _checked(int, lambda k: k >= 1, "mu and nu must be >= 1")
@@ -206,22 +199,28 @@ ALMOST_AP_LAM_MAX = 8
 
 def check_config(config: RunConfig) -> None:
     """Refuse config before any work: PreconditionError or DomainError (exit 2),
-    CapacityError (exit 3).  Only the output path, q >= 2, seed >= 0 and
-    verify's caps are the CLI's own rules; every other rule is raised by the
-    library function that owns it, and is run from here where the CLI would
-    build f or draw coefficients first (compute_constants is cached).
+    CapacityError (exit 3).  Only the command, the output path (a file name
+    in an existing directory), q >= 2, seed >= 0 and verify's caps are the
+    CLI's own rules; every other rule is raised by the library function that
+    owns it, and is run from here where the CLI would build f or draw
+    coefficients first (compute_constants is cached).
     """
     command, q = config.command, config.q
     if config.output_path != "-":
+        if not config.output_path:
+            raise PreconditionError("cannot write '': the path is empty")
         if os.path.isdir(config.output_path):
             raise PreconditionError(f"cannot write {config.output_path!r}: it is a directory")
-        out_dir = os.path.dirname(os.path.abspath(config.output_path))
+        # the directory the path names, before abspath drops a trailing separator
+        out_dir = os.path.abspath(os.path.dirname(config.output_path))
         if not os.path.isdir(out_dir):
             raise PreconditionError(f"cannot write {config.output_path!r}: no directory {out_dir!r}")
     if q < 2:
         raise PreconditionError(f"base must be >= 2, got {q}")
     if config.seed < 0:
         raise PreconditionError(f"seed must be >= 0, got {config.seed}")
+    if command not in COMMANDS:
+        raise PreconditionError(f"unknown command {command!r}")
     if command == "verify":
         draw_exponent = WINDOW_KAPPA1_MAX + WINDOW_LAM_MAX + 2
         if q**draw_exponent > 2**63:
@@ -240,8 +239,6 @@ def check_config(config: RunConfig) -> None:
         harness.rectangle_shape(q, config.mu, config.nu)
     elif command == "decay":
         harness.check_decay_xs(config.xs_list)
-    elif command not in ("constants", "equidist", "expsum"):
-        raise PreconditionError(f"unknown command {command!r}")
     if command in ("constants", "typesums"):
         fourier.constants_grid_size(q)
     if command in ("verify", "typesums"):
@@ -399,8 +396,8 @@ def _constants_results(config: RunConfig) -> dict:
         "c_lower_bound": c_bound,
         "eta_upper_bound": eta_bound,
         "norm_q_minus_1_gamma": _circle_distance((q - 1) * gamma),
-        "c_bound_holds": sc.c >= c_bound - 1e-9,
-        "eta_bound_holds": sc.eta <= eta_bound + 1e-9,
+        "c_bound_holds": _passes(c_bound, sc.c, "upper", 1e-9),
+        "eta_bound_holds": _passes(sc.eta, eta_bound, "upper", 1e-9),
     }
 
 
@@ -491,22 +488,28 @@ def _typesums_results(config: RunConfig) -> dict:
     }
 
 
+# command -> its results function; run dispatches on it, check_config refuses
+# any other command
+COMMANDS = {
+    "verify": _verify_rows,
+    "constants": _constants_results,
+    "equidist": lambda config: asdict(harness.equidist_counts(config.x, config.q, config.m)),
+    "expsum": _expsum_rows,
+    "typesums": _typesums_results,
+    "decay": lambda config: asdict(harness.decay_fit(list(config.xs_list), _f_of(config), config.theta)),
+}
+
+
 def run(config: RunConfig) -> int:
     """Execute one command and write its report; returns the exit code."""
     check_config(config)
-    if config.command == "verify":
-        results: object = _verify_rows(config)
-    elif config.command == "constants":
-        results = _constants_results(config)
-    elif config.command == "equidist":
-        results = asdict(harness.equidist_counts(config.x, config.q, config.m))
-    elif config.command == "expsum":
-        results = _expsum_rows(config)
-    elif config.command == "typesums":
-        results = _typesums_results(config)
-    else:  # decay, the only command left that check_config accepts
-        results = asdict(harness.decay_fit(list(config.xs_list), _f_of(config), config.theta))
-    violation = isinstance(results, list) and any(row["pass"] is False for row in results)
+    results = COMMANDS[config.command](config)
+    flags = (
+        [row["pass"] for row in results]
+        if isinstance(results, list)
+        else [results.get("c_bound_holds"), results.get("eta_bound_holds")]
+    )
+    violation = any(flag is False for flag in flags)  # None is no verdict
 
     config_echo = asdict(config)
     config_echo.pop("output_path")  # reports must not depend on where they land

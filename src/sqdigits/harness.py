@@ -14,11 +14,12 @@ numerator k becomes e(k/D) by one division and exp, or, with no twist and
 D <= DIGIT_TABLE_CAP, by a lookup in a table of the D roots of unity built
 from the same k/D, so both give the same bits.  Every bilinear sum reads a
 padded (m, n) block of g(mn) = f((mn)^2) e(theta mn): type_sums one chunk of
-whole rows (at most KERNEL_BLOCK pairs) per kernel call, added to running
-totals of S_20, S_I and its suffix maximum; the Vaughan probe each q-adic
-block, copied along its shorter axis from one table of g on (x/q, x].  Where
-g is gathered, the table holds the numerators k (2 bytes below D = 2**16),
-and each block is gathered into one complex buffer that all blocks reuse.
+whole rows (at most KERNEL_BLOCK pairs, or one longer row) per kernel call,
+added to running totals of S_20, S_I and its suffix maximum; the Vaughan
+probe each q-adic block, copied along its shorter axis from one table of g
+on (x/q, x].  Where g is gathered, the table holds the numerators k (2 bytes
+below D = 2**16), and each block is gathered into one complex buffer that
+all blocks reuse.
 
 Parameter plans reproduce the explicit recipes used to make the type II
 and type I machinery non-trivial: every derived quantity is integer
@@ -275,18 +276,6 @@ def decay_fit(xs: list[int], f: StronglyQMultiplicative, theta: float) -> DecayF
     return DecayFit(xs=tuple(xs), values=tuple(values), fitted_exponent=slope)
 
 
-def _rectangle(
-    m: np.ndarray, n: np.ndarray, f: StronglyQMultiplicative, theta: float
-) -> np.ndarray:
-    """Dense g(mn) = f((mn)^2) e(theta mn) on the grid of uint64 arrays m x n,
-    filled in place by one kernel call per KERNEL_BLOCK pairs, across row ends."""
-    dense = np.empty((m.size, n.size), dtype=np.complex128)
-    for a in range(0, dense.size, KERNEL_BLOCK):
-        k = np.arange(a, min(a + KERNEL_BLOCK, dense.size))
-        dense.reshape(-1)[a : a + k.size] = _twisted_square(f, m[k // n.size] * n[k % n.size], theta)
-    return dense
-
-
 def _strided_rows(g: np.ndarray, k0: int, m: np.ndarray, lo: np.ndarray, size: np.ndarray, pad) -> np.ndarray:
     """Dense g(mn) from the table g[k - k0] = g(k), in its dtype, for consecutive rows m: row i holds
     lo[i] <= n < lo[i] + size[i], pad elsewhere.  Copied along the shorter axis: row i is the slice of
@@ -357,9 +346,10 @@ def type_sums(
       by its maximum over all suffix intervals: it only changes at integer
       endpoints, so scanning every cumulative suffix sum is exact.
 
-    The rectangle is built and reduced one _row_chunks chunk at a time, and
-    each sum adds its row values in row order, so no array holds more than
-    one chunk of rows and the sums do not depend on the chunk size.
+    The rectangle is built and reduced one _row_chunks chunk at a time, by one
+    kernel call on the flat outer product of the chunk's m with n, and each
+    sum adds its row values in row order, so no array holds more than one
+    chunk of rows and the sums do not depend on the chunk size.
     """
     q = f.q
     rows, cols = rectangle_shape(q, mu, nu)
@@ -373,7 +363,7 @@ def type_sums(
     n = np.arange(q ** (nu - 1), q**nu, dtype=np.uint64)
     s20, si, si_max = 0j, 0.0, 0.0
     for chunk in _row_chunks(rows, cols):
-        g = _rectangle(m[chunk], n, f, theta)
+        g = _twisted_square(f, (m[chunk, None] * n).reshape(-1), theta).reshape(-1, cols)
         s20 = _add_in_order(s20, a[chunk] * (g * b).sum(axis=1))
         # hypot rounds as Python's abs(complex) does; numpy's complex abs does not
         si = _add_in_order(si, np.hypot((s := g.sum(axis=1)).real, s.imag))

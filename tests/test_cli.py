@@ -1,6 +1,7 @@
 """CLI surface: flags, exit codes, report formats, determinism."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -187,6 +188,20 @@ def test_constants_values(tmp_path):
     assert abs(results["eta"] - 0.5) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "name, bound, failed",
+    [("c_lower_bound_digit_sum", 1.0, "c_bound_holds"), ("eta_upper_bound_digit_sum", 0.0, "eta_bound_holds")],
+)
+def test_constants_failed_bound_flag_exits_one(name, bound, failed, tmp_path, monkeypatch):
+    # a lower bound 1 for c = 0.19, or an upper bound 0 for eta = 1/2, fails
+    # that flag and only that one; the report is still written
+    monkeypatch.setattr(fourier, name, lambda *args: bound)
+    code, out = run_cli(["constants", "--q", "2", "--gamma", "1/2"], tmp_path)
+    assert code == cli.EXIT_VIOLATION
+    results = json.loads(out.read_text())["results"]
+    assert {flag for flag in ("c_bound_holds", "eta_bound_holds") if results[flag] is not True} == {failed}
+
+
 def test_typesums_report(tmp_path):
     code, out = run_cli(
         ["typesums", "--q", "2", "--gamma", "1/2", "--mu", "4", "--nu", "6", "--seed", "5"],
@@ -332,6 +347,11 @@ REFUSED = [
      cli.EXIT_CAPACITY, "working range", ("numpy.random.default_rng",)),
     (["typesums", "--q", "3", "--gamma", "1/2"], cli.EXIT_USAGE, "proper",
      ("numpy.random.default_rng",)),
+    # neither path names a file that open() could write
+    (["equidist", "--q", "2", "--m", "3", "--x", "1e8", "--output", ""], cli.EXIT_USAGE, "path is empty",
+     ("sqdigits.harness.prime_arrays",)),
+    (["equidist", "--q", "2", "--m", "3", "--x", "1e8", "--output", "nonexist_dir_x" + os.sep], cli.EXIT_USAGE,
+     "no directory", ("sqdigits.harness.prime_arrays",)),
 ]
 
 
@@ -365,12 +385,12 @@ def test_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys):
     def no_work(config):
         raise AssertionError("the work ran before the output path was checked")
 
-    monkeypatch.setattr(cli, "_typesums_results", no_work)
+    monkeypatch.setitem(cli.COMMANDS, "typesums", no_work)
     missing = tmp_path / "missing" / "x.json"
     assert cli.main(["typesums", "--output", str(missing)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert str(missing) in err and "Traceback" not in err
-    monkeypatch.setattr(cli, "_constants_results", no_work)
+    monkeypatch.setitem(cli.COMMANDS, "constants", no_work)
     assert cli.main(["constants", "--q", "2", "--output", str(tmp_path)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert str(tmp_path) in err and "Traceback" not in err
@@ -434,7 +454,9 @@ def test_gamma_parsing():
 # out the work instead.
 EDGES = ["0", "1", "-1", str(2**63), str(2**64), str(10**29), "nan", "inf", "1e300",
          "", "abc", "1/", "--", "0x10", "-inf"]
-MISSING_DIR = "<missing>"
+# stand-ins for paths under the test's own temporary directory; with "" they
+# are the output paths that can never be written
+MISSING_DIR, MISSING_DIR_SEP = "<missing>", "<missing>/"
 
 
 def edges(*own):
@@ -446,7 +468,7 @@ COMMON_FLAGS = {
     "--gamma": (["1/2", "1/3", "2/7", "-1/5"], edges("3/2", "1/0", "0.5", f"{2**64}/3")),
     "--seed": (["1", "7"], edges()),
     "--format": (["json", "csv"], edges("xml")),
-    "--output": (["-"], st.just(MISSING_DIR)),  # never a path that a report could be written to
+    "--output": (["-"], st.sampled_from([MISSING_DIR, MISSING_DIR_SEP, ""])),
 }
 COMMAND_FLAGS = {
     "verify": {"--q": (["2"], edges("9", "233", "234", "235", "70000"))},
@@ -491,6 +513,20 @@ def argvs(draw):
     return argv
 
 
+def _failed_flags(text: str, csv_format: bool) -> bool:
+    """Whether a JSON or CSV report holds a row pass or a constants bound flag
+    that is false."""
+    flags = ("c_bound_holds", "eta_bound_holds")
+    if csv_format:
+        header, *rows = csv.reader(io.StringIO(text))
+        if header[0] == "suite":
+            return any(row[5] == "False" for row in rows)
+        return any(key in flags and value == "false" for key, value in rows)
+    results = json.loads(text)["results"]
+    values = [row["pass"] for row in results] if isinstance(results, list) else [results.get(k) for k in flags]
+    return any(value is False for value in values)
+
+
 def _nonfinite(obj):
     """(value, the container holding it, its key) of every non-finite float in obj."""
     items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
@@ -504,13 +540,18 @@ def _nonfinite(obj):
 @settings(derandomize=True, database=None, max_examples=400, deadline=timedelta(seconds=5))
 @given(argv=argvs())
 def test_fuzz_argv(argv, tmp_path_factory):
-    missing = str(tmp_path_factory.getbasetemp() / "no-such-dir" / "report.json")
-    argv = [missing if a == MISSING_DIR else a for a in argv]
+    missing_dir = str(tmp_path_factory.getbasetemp() / "no-such-dir")
+    paths = {MISSING_DIR: os.path.join(missing_dir, "report.json"), MISSING_DIR_SEP: missing_dir + os.sep}
+    argv = [paths.get(a, a) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+    if "--output" in argv and argv[argv.index("--output") + 1] != "-":
+        assert code == cli.EXIT_USAGE, argv  # refused, however valid the rest
+    if code in (0, 1):
+        assert (code == cli.EXIT_VIOLATION) == _failed_flags(out.getvalue(), "csv" in argv), argv
     if code in (0, 1) and "csv" not in argv:
         report = json.loads(out.getvalue())
         jsonschema.validate(report, SCHEMA)

@@ -469,22 +469,6 @@ def _vaughan_block_per_row(x, q, M, f, theta):
     return dense
 
 
-def _rectangle_in_7_pair_calls(monkeypatch, m, n, f, theta):
-    """_rectangle(m, n, f, theta) with KERNEL_BLOCK patched to 7, and the
-    length of each _twisted_square call it made."""
-    calls = []
-    twisted_square = harness._twisted_square
-
-    def counting(f, n, theta):
-        calls.append(len(n))
-        return twisted_square(f, n, theta)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(harness, "KERNEL_BLOCK", 7)
-        patch.setattr(harness, "_twisted_square", counting)
-        return harness._rectangle(m, n, f, theta), calls
-
-
 def test_vaughan_block_matches_per_row_reference(monkeypatch):
     cases = [
         (200, 2, TM, 0.0),
@@ -533,8 +517,8 @@ def test_vaughan_block_matches_per_row_reference(monkeypatch):
 
 
 def test_rectangle_matches_per_row_reference(monkeypatch):
-    # the q-adic rectangle as one row block, and type_sums' three reductions,
-    # against one kernel call per m and the per-row sums
+    # type_sums' kernel calls, one per chunk of whole rows, and its three
+    # reductions, against one kernel call per m and the per-row sums
     cases = [
         (2, 3, 4, TM, 0.0),
         (3, 2, 3, make_digit_exponential(3, Fraction(1, 3)), 0.37),
@@ -543,15 +527,37 @@ def test_rectangle_matches_per_row_reference(monkeypatch):
         (7, 2, 2, make_digit_exponential(7, Fraction(2, 7)), 0.61),
     ]
     rng = np.random.default_rng(3)
+    twisted_square = harness._twisted_square
+    long_rows = []
     for q, mu, nu, f, theta in cases:
         m = np.arange(q ** (mu - 1), q**mu, dtype=np.uint64)
         n = np.arange(q ** (nu - 1), q**nu, dtype=np.uint64)
         reference = np.array([_g(f, row_m * n, theta) for row_m in m])
-        dense, calls = _rectangle_in_7_pair_calls(monkeypatch, m, n, f, theta)
-        assert calls == [min(7, reference.size - start) for start in range(0, reference.size, 7)]
-        assert dense.shape == reference.shape and dense.tobytes() == reference.tobytes()
         a = np.exp(2j * np.pi * rng.random(m.size))
         b = np.exp(2j * np.pi * rng.random(n.size))
+        # each call gets the flat outer product of one _row_chunks chunk of m
+        # with n, and returns exactly its reference rows; a row longer than
+        # KERNEL_BLOCK is a chunk of its own
+        for block in (7, 64):
+            calls = []
+
+            def recording(f, pairs, theta):
+                g = twisted_square(f, pairs, theta)
+                calls.append((pairs, g))
+                return g
+
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, "KERNEL_BLOCK", block)
+                patch.setattr(harness, "_twisted_square", recording)
+                harness.type_sums(mu, nu, f, theta, a, b)
+                chunks = list(harness._row_chunks(m.size, n.size))
+            assert len(calls) == len(chunks)
+            long_rows.append(n.size > block)
+            if long_rows[-1]:
+                assert len(calls) == m.size
+            for (pairs, g), chunk in zip(calls, chunks):
+                assert pairs.dtype == np.uint64 and np.array_equal(pairs, (m[chunk, None] * n).ravel())
+                assert g.shape == (reference[chunk].size,) and g.tobytes() == reference[chunk].tobytes()
         # numpy's complex product is not bitwise commutative, so the
         # reference keeps type_sums' operand order
         s20, si, si_max = 0j, 0.0, 0.0
@@ -569,6 +575,7 @@ def test_rectangle_matches_per_row_reference(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(harness, "KERNEL_BLOCK", block)
                 assert harness.type_sums(mu, nu, f, theta, a, b) == (s20, si, si_max)
+    assert set(long_rows) == {True, False}
 
 
 def test_vaughan_probe_checks_cap_before_rows(monkeypatch):
