@@ -182,8 +182,8 @@ class EquidistReport:
 
 def equidist_counts(x: int, q: int, m: int) -> EquidistReport:
     """Stream primes, bin s_q(p^2) mod m, report the discrepancy; the caps on q,
-    m and x (in prime_arrays) are checked first.  Each prime segment is binned
-    KERNEL_BLOCK primes at a time, so that every temporary is one block long."""
+    m and x (in prime_arrays) are checked first.  Each array of the prime
+    stream is binned whole, so that every temporary is one block long."""
     if q < 2 or m < 2:
         raise ValueError(f"need q >= 2 and m >= 2, got ({q}, {m})")
     if q >= 2**64:
@@ -192,10 +192,9 @@ def equidist_counts(x: int, q: int, m: int) -> EquidistReport:
         raise CapacityError(f"m = {m} residue bins exceed the bin cap {EQUIDIST_BIN_CAP}")
     counts = np.zeros(m, dtype=np.int64)
     for arr in prime_arrays(x):
-        for start in range(0, len(arr), KERNEL_BLOCK):
-            p = arr[start : start + KERNEL_BLOCK].astype(np.uint64)
-            s = digit_sums_array(p * p, q)
-            counts += np.bincount(_remainder(s, np.uint64(m)).astype(np.int64), minlength=m)
+        p = arr.astype(np.uint64)
+        s = digit_sums_array(p * p, q)
+        counts += np.bincount(_remainder(s, np.uint64(m)).astype(np.int64), minlength=m)
     pi_x = int(counts.sum())
     expected = pi_x / m
     disc = float(np.max(np.abs(counts - expected)) / pi_x) if pi_x else 0.0
@@ -218,21 +217,20 @@ def lambda_weighted_sum(x: int, f: StronglyQMultiplicative, theta: float) -> com
 def _lambda_sums(xs: list[int], f: StronglyQMultiplicative, theta: float) -> list[complex]:
     """lambda_weighted_sum at every x in xs, from one prime stream up to max(xs).
 
-    Only prime powers contribute.  Primes are handled in vectorized blocks of
-    KERNEL_BLOCK, each weighted once; each x takes the sum of the block's
-    first terms, those up to x, so it adds exactly what a stream up to x alone
-    would add, in the same order.  The powers p**k, k >= 2, follow from one
-    stream up to sqrt(max(xs)), one exponent k at a time, cut alike.  An empty
-    cut adds 0j, which changes no total: each starts at +0.0, so is never -0.0.
+    Only prime powers contribute.  Each array of the prime stream, 2**16
+    consecutive primes whatever the sieve's segment size, is weighted once;
+    each x takes the sum of its first terms, those up to x, so it adds exactly
+    what a stream up to x alone would add, in the same order.  The powers
+    p**k, k >= 2, follow from one stream up to sqrt(max(xs)), one exponent k
+    at a time, cut alike.  An empty cut adds 0j, which changes no total: each
+    starts at +0.0, so is never -0.0.
     """
     _check_lambda_x(max(xs))
     totals = [0.0 + 0.0j] * len(xs)
-    for arr in prime_arrays(max(xs)):
-        for start in range(0, len(arr), KERNEL_BLOCK):
-            p = arr[start : start + KERNEL_BLOCK]
-            w = np.log(p.astype(np.float64)) * _twisted_square(f, p.astype(np.uint64), theta)
-            for i, cut in enumerate(np.searchsorted(p, xs, side="right").tolist()):
-                totals[i] += complex(np.sum(w[:cut]))
+    for p in prime_arrays(max(xs)):
+        w = np.log(p.astype(np.float64)) * _twisted_square(f, p.astype(np.uint64), theta)
+        for i, cut in enumerate(np.searchsorted(p, xs, side="right").tolist()):
+            totals[i] += complex(np.sum(w[:cut]))
     for arr in prime_arrays(math.isqrt(max(xs))):
         p = arr.astype(np.uint64)
         logp, pk = np.log(arr.astype(np.float64)), p * p

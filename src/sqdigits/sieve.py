@@ -1,12 +1,13 @@
 """Segmented prime generation at desk scale.
 
-Primes are produced by an odd-only segmented sieve (segments of 2**22 odd
-flags) so that harness runs up to 10**8 finish in seconds.  Each segment
-starts from a pattern pre-sieved by the wheel primes 3, 5, 7, 11 and 13,
-and the base primes up to sqrt(x), which the same sieve yields, are struck
-one cache-sized sub-block at a time; segments and flags do not depend on
-either.  x above PRIME_CAP is refused before the first array.  The von
-Mangoldt weights log p of the prime powers are applied by the harness.
+An odd-only sieve strikes one segment of 2**20 odd flags (1 MiB, so that
+they stay in L2) at a time, from a pattern pre-sieved by the wheel primes
+3, 5, 7, 11 and 13 and the base primes up to sqrt(x), which the same sieve
+yields.  Primes come out in arrays of BLOCK consecutive primes, [2, 3, 5,
+...] first and only the last shorter; a carry joins blocks across segment
+edges, so no array depends on the segment size.  x above PRIME_CAP is
+refused before the first array.  The harness applies the von Mangoldt
+weights log p.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 from .errors import CapacityError
 
 PRIME_CAP = 10**9
-SEGMENT_SIZE = 1 << 22  # odd flags per segment
-SUB_BLOCK = 1 << 20  # odd flags struck at a time: 1 MiB, so that they stay in L2
+SEGMENT_SIZE = 1 << 20  # odd flags per segment
+BLOCK = 1 << 16  # primes per yielded array
 WHEEL_PRIMES = (3, 5, 7, 11, 13)
 WHEEL = math.prod(WHEEL_PRIMES)  # the flag of odd n depends on n // 2 mod WHEEL alone
 
@@ -45,32 +46,33 @@ def _sieve_segment(lo: int, hi: int, odd_base: np.ndarray) -> np.ndarray:
     for p in WHEEL_PRIMES:
         if lo <= p < hi:
             flags[(p - lo) // 2] = True
-    for b0 in range(0, n_flags, SUB_BLOCK):
-        b1 = min(b0 + SUB_BLOCK, n_flags)
-        v0, v1 = lo + 2 * b0, lo + 2 * b1  # odd values v0, v0 + 2, ..., below v1
-        ps = odd_base[: np.searchsorted(odd_base * odd_base, v1)]
-        start = np.maximum(ps * ps, -(-v0 // ps) * ps)
-        start += np.where(start % 2 == 0, ps, 0)  # the first odd multiple
-        block = flags[b0:b1]
-        for s, p in zip(((start - v0) // 2).tolist(), ps.tolist()):
-            block[s::p] = False
+    ps = odd_base[: np.searchsorted(odd_base * odd_base, hi)]
+    start = np.maximum(ps * ps, -(-lo // ps) * ps)
+    start += np.where(start % 2 == 0, ps, 0)  # the first odd multiple
+    for s, p in zip(((start - lo) // 2).tolist(), ps.tolist()):
+        flags[s::p] = False
     return flags
 
 
 def prime_arrays(x: int) -> Iterator[np.ndarray]:
-    """Primes <= x as ascending int64 arrays, one per segment; x above
-    PRIME_CAP is refused before the first array."""
+    """Primes <= x in ascending int64 arrays of exactly BLOCK primes, the
+    last one shorter; x above PRIME_CAP is refused before the first array."""
     if x > PRIME_CAP:
         raise CapacityError(f"x = {x} exceeds the prime cap {PRIME_CAP}")
     if x < 2:
         return
-    yield np.array([2], dtype=np.int64)
     base = np.concatenate([np.zeros(0, dtype=np.int64), *prime_arrays(math.isqrt(x))])
     odd_base = base[base > WHEEL_PRIMES[-1]]
-    lo = 3
+    block, lo = np.array([2], dtype=np.int64), 3
     while lo <= x:
         hi = min(lo + 2 * SEGMENT_SIZE, x + 1)
-        arr = lo + 2 * np.flatnonzero(_sieve_segment(lo, hi, odd_base))
-        if len(arr):
-            yield arr
+        found = np.flatnonzero(_sieve_segment(lo, hi, odd_base))  # the primes lo + 2 * found
+        while len(found):  # the carry block takes what it lacks of BLOCK
+            take = BLOCK - len(block)
+            block, found = np.concatenate([block, lo + 2 * found[:take]]), found[take:]
+            if len(block) == BLOCK:
+                yield block
+                block = block[:0]
         lo = hi if hi % 2 == 1 else hi + 1
+    if len(block):
+        yield block

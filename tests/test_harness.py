@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from oracles import mangoldt
 
-from sqdigits import harness
+from sqdigits import harness, sieve
 from sqdigits.errors import CapacityError, PreconditionError
 from sqdigits.qmult import (
     StronglyQMultiplicative,
@@ -168,6 +168,12 @@ def test_equidist_partition_and_flags():
         harness.equidist_counts(10, 2**64, 2)
 
 
+def test_prime_stream_memory():
+    # one 1 MiB segment, its flag indices and a few 2**16-prime blocks; a
+    # whole 2**22-flag segment and its prime array took 8.6 MiB
+    assert _traced_peak(lambda: [None for _ in prime_arrays(10**7)]) <= 5 * 2**20
+
+
 def test_equidist_memory_is_the_sieve_s():
     # every temporary is one block of primes long; whole-segment temporaries
     # took 22 MiB at x = 10**7, against the sieve's 8.6 MiB
@@ -217,11 +223,9 @@ def _one_x_sum(x, f, theta):
     """The Lambda sum over a prime stream up to x alone: the loop the shared
     sweep of decay_fit and vaughan_probe must reproduce bit for bit."""
     total = 0.0 + 0.0j
-    for arr in prime_arrays(x):
-        for start in range(0, len(arr), harness.KERNEL_BLOCK):
-            p = arr[start : start + harness.KERNEL_BLOCK]
-            g = _g(f, p.astype(np.uint64), theta)
-            total += complex(np.sum(np.log(p.astype(np.float64)) * g))
+    for p in prime_arrays(x):
+        g = _g(f, p.astype(np.uint64), theta)
+        total += complex(np.sum(np.log(p.astype(np.float64)) * g))
     for arr in prime_arrays(math.isqrt(x)):
         p = arr.astype(np.uint64)
         logp, pk = np.log(arr.astype(np.float64)), p * p
@@ -233,7 +237,8 @@ def _one_x_sum(x, f, theta):
 
 
 def test_decay_fit_is_one_sweep_of_one_x_sums(monkeypatch):
-    # a cut inside a KERNEL_BLOCK, a prime, and the first value of the second segment
+    # a cut inside a block of primes, a prime, and the first value of the
+    # second 2**20-flag segment
     xs = [500_000, 1_000_003, 3 + 2 * SEGMENT_SIZE]
     theta = 0.3721
     expected = [_one_x_sum(x, TM, theta) for x in xs]
@@ -248,6 +253,16 @@ def test_decay_fit_is_one_sweep_of_one_x_sums(monkeypatch):
     fit = harness.decay_fit(xs, TM, theta)
     assert fit.values == tuple(abs(s) / x for s, x in zip(expected, xs))
     assert streams == [xs[-1], math.isqrt(xs[-1])]  # one stream for the primes, one for their powers
+
+
+def test_decay_fit_does_not_depend_on_the_segment_size(monkeypatch):
+    # the blocks are 2**16 consecutive primes from 2 on, not restarted at
+    # each segment, so every float sum is added in the same order
+    xs = [500_000, 1_000_003, 3 + 2 * SEGMENT_SIZE]
+    values = harness.decay_fit(xs, TM, 0.3721).values
+    for segment_size in (1000, 2**16 + 1):
+        monkeypatch.setattr(sieve, "SEGMENT_SIZE", segment_size)
+        assert harness.decay_fit(xs, TM, 0.3721).values == values
 
 
 def test_vaughan_lambda_sum_is_two_call_difference():

@@ -75,29 +75,54 @@ def _monolithic_flags(x):
     return flags
 
 
-def _segment_arrays(x, segment_size):
-    """(lo, hi, primes) of each odd segment [lo, hi) after the array [2]; no
-    segment below 3 * 10**6 is free of primes, so none is skipped."""
-    arrays = sieve.prime_arrays(x)
-    assert next(arrays).tolist() == [2]
+def _segment_bounds(x, segment_size):
+    """(lo, hi) of each odd segment [lo, hi) the sieve strikes up to x."""
     lo = 3
-    for arr in arrays:
+    while lo <= x:
         hi = min(lo + 2 * segment_size, x + 1)
-        yield lo, hi, arr
+        yield lo, hi
         lo = hi if hi % 2 else hi + 1
-    assert lo > x
 
 
-@pytest.mark.parametrize("segment_size", [1000, 1 << 16, sieve.SUB_BLOCK + 1, sieve.SEGMENT_SIZE])
+@pytest.mark.parametrize(
+    "segment_size",
+    [1000, 1 << 16, (1 << 16) + 1, sieve.SEGMENT_SIZE, sieve.SEGMENT_SIZE + 1, 1 << 22],
+)
 def test_segments_match_monolithic(segment_size, monkeypatch):
-    # segment starts at many offsets mod the wheel period, segments across
-    # sub-block edges, and a last sub-block of one flag
+    # segment starts at many offsets mod the wheel period, blocks that span
+    # many segments and segments that hold many blocks: the arrays are the
+    # monolithic sieve's primes cut into BLOCK consecutive primes, whatever
+    # the segment size
     x = 3 * 10**6
-    flags = _monolithic_flags(x)
+    primes = np.flatnonzero(_monolithic_flags(x))
     monkeypatch.setattr(sieve, "SEGMENT_SIZE", segment_size)
-    for lo, hi, arr in _segment_arrays(x, segment_size):
+    arrays = list(sieve.prime_arrays(x))
+    assert len(arrays) == -(-len(primes) // sieve.BLOCK) == 4
+    for i, arr in enumerate(arrays):
         assert arr.dtype == np.int64
-        assert np.array_equal(arr, lo + np.flatnonzero(flags[lo:hi]))
+        assert len(arr) == sieve.BLOCK or i == len(arrays) - 1
+        assert np.array_equal(arr, primes[i * sieve.BLOCK : (i + 1) * sieve.BLOCK])
+    assert np.array_equal(np.concatenate(arrays), primes)
+
+
+def test_prime_arrays_work_counts(monkeypatch):
+    # one _sieve_segment call per segment of the base streams (up to 7, 56
+    # and 3162), then one per 2**20 odd flags up to 10**7; 664,579 primes
+    # in 11 arrays
+    x = 10**7
+    calls = []
+
+    def counted(lo, hi, odd_base):
+        calls.append((lo, hi))
+        return sieve_segment(lo, hi, odd_base)
+
+    sieve_segment = sieve._sieve_segment
+    monkeypatch.setattr(sieve, "_sieve_segment", counted)
+    lengths = [len(arr) for arr in sieve.prime_arrays(x)]
+    outer = list(_segment_bounds(x, sieve.SEGMENT_SIZE))
+    assert calls == [(3, 8), (3, 57), (3, 3163)] + outer
+    assert len(outer) == -(-5 * 10**6 // sieve.SEGMENT_SIZE) == 5
+    assert lengths == [sieve.BLOCK] * 10 + [664579 - 10 * sieve.BLOCK]
 
 
 def test_segmented_matches_monolithic_to_1e6():
@@ -108,11 +133,12 @@ def test_segmented_matches_monolithic_to_1e6():
 def test_segment_flags_spot_checks(monkeypatch):
     rng = np.random.default_rng(12)
     monkeypatch.setattr(sieve, "SEGMENT_SIZE", 1 << 16)
-    for lo, hi, arr in _segment_arrays(10**6, 1 << 16):
+    primes = set(np.concatenate(list(sieve.prime_arrays(10**6))).tolist())
+    for lo, hi in _segment_bounds(10**6, 1 << 16):
         picks = lo + 2 * rng.integers(0, (hi - lo + 1) // 2, size=50)
         for n in picks.tolist():
             is_prime = all(n % d for d in range(2, math.isqrt(n) + 1))
-            assert (n in arr) == is_prime
+            assert (n in primes) == is_prime
         if hi > 10**5:
             break
 

@@ -1,5 +1,6 @@
-"""Source hygiene: every private module-level name, every public function and every
-import of the package is used, and each capacity refusal is raised in one place."""
+"""Source hygiene: every private module-level name, every public function and
+constant and every import of the package is used, and each capacity refusal is
+raised in one place."""
 
 import ast
 import re
@@ -53,6 +54,33 @@ def test_public_functions_are_referenced():
         and len(re.findall(rf"\b{re.escape(node.name)}\b", text)) < 2
     }
     assert unreferenced == set(UNREFERENCED_ALLOWED)
+
+
+def _public_constants(tree):
+    """The UPPER_CASE names a module's top-level assignments bind."""
+    for name in _private_module_names(tree):
+        if re.fullmatch(r"[A-Z][A-Z0-9_]*", name):
+            yield name
+
+
+def test_public_constants_are_read():
+    # a module-level constant of src/ that no code of src/ or scripts/ reads
+    # (as a name or an attribute) is a leftover, even if tests still name it
+    files = [path for part in ("src", "scripts") for path in sorted((ROOT / part).rglob("*.py"))]
+    read = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in _public_constants(ast.parse(path.read_text()))
+        if name not in read
+    ]
+    assert unread == []
 
 
 def _module_imports(tree):
