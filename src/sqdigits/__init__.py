@@ -1,14 +1,13 @@
 """Digit-window Fourier analysis and equidistribution experiments for
 digital functions along squares of primes."""
 
-from .digits import checked_pow, digit_sum, rep_low, rep_window, to_digits
+from .digits import checked_pow, rep_low, rep_window, to_digits
 from .errors import CapacityError, DomainError, PreconditionError
 from .qmult import (
     StronglyQMultiplicative,
     eval_truncated,
     evaluate,
     is_proper,
-    make_constant_one,
     make_digit_exponential,
     phase_of,
     thue_morse,
@@ -20,11 +19,9 @@ __all__ = [
     "PreconditionError",
     "StronglyQMultiplicative",
     "checked_pow",
-    "digit_sum",
     "eval_truncated",
     "evaluate",
     "is_proper",
-    "make_constant_one",
     "make_digit_exponential",
     "phase_of",
     "rep_low",

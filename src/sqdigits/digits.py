@@ -1,9 +1,9 @@
 """Base-q digit decomposition and digit-window extraction.
 
 The integer ``n = sum_j eps_j * q**j`` (digits ``eps_j`` in ``[0, q)``) is
-handled through four primitives: the digit list itself, the value of the
-``kappa`` least significant digits, the value of the digits with index in
-``[kappa1, kappa2)``, and the digit sum.
+handled through three primitives: the digit list itself, the value of the
+``kappa`` least significant digits, and the value of the digits with index
+in ``[kappa1, kappa2)``.
 
 All ``q**kappa`` computations are guarded against leaving the 128-bit
 unsigned working range: squares of desk-scale integers fit comfortably,
@@ -65,8 +65,3 @@ def rep_window(a: int, kappa1: int, kappa2: int, q: int) -> int:
             f"need 0 <= kappa1 <= kappa2, got ({kappa1}, {kappa2})"
         )
     return rep_low(a, kappa2, q) // checked_pow(q, kappa1)
-
-
-def digit_sum(n: int, q: int) -> int:
-    """Sum of the base-q digits of n."""
-    return sum(to_digits(n, q))

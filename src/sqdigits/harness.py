@@ -42,7 +42,7 @@ import numpy as np
 from .digits import checked_pow
 from .errors import CapacityError, PreconditionError
 from .qmult import StronglyQMultiplicative, frac
-from .sieve import prime_arrays
+from .sieve import BLOCK, prime_arrays
 
 LAMBDA_SUM_CAP = 10**8
 TYPE_SUM_CAP = 1 << 26
@@ -87,30 +87,36 @@ def _phase_table(f: StronglyQMultiplicative) -> tuple[np.ndarray, int, int | flo
     return (*_block_table(np.array([float(p) for p in f.phases]), 1.0), 1.0)
 
 
-def _remainder(x: np.ndarray, d: int | float | np.uint64) -> np.ndarray:
+def _remainder(x: np.ndarray, d: int | float | np.uint64, out: np.ndarray | None = None) -> np.ndarray:
     """x % d by floor division and a multiply-subtract, for an array x and a
-    scalar d: numpy's // is several times faster than its % or divmod, and
-    floors, so this equals % on signed values too."""
-    return x - (x // d) * d
+    scalar d, into out (never x): numpy's // is several times faster than its
+    % or divmod, and floors, so this equals % on signed values too."""
+    return np.subtract(x, np.multiply(np.floor_divide(x, d, out=out), d, out=out), out=out)
+
+
+def _digit_block(values: np.ndarray, table: np.ndarray | None, size: int, acc: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """acc = the sum of table[d] (of d for table None) over the base-`size` digits d
+    of each uint64 value, one pass per digit of the largest: the quotients go to
+    work[1] and work[0] in turn (values may be work[0]), the digits to work[2]."""
+    radix, top, high, row = np.uint64(size), int(values.max(initial=0)), values, 1
+    acc[...] = 0
+    while True:
+        np.floor_divide(high, radix, out=work[row])
+        low = np.subtract(high, np.multiply(work[row], radix, out=work[2]), out=work[2])
+        acc += low if table is None else table.take(low.view(np.int64))  # int64 gathers faster
+        high, row, top = work[row], 1 - row, top // size
+        if not top:
+            return acc
 
 
 def _digit_additive(values: np.ndarray, table: np.ndarray | None, size: int) -> np.ndarray:
-    """Sum of table[d] (of d for table None) over the base-`size` digits d of each value."""
+    """_digit_block on values of any shape, KERNEL_BLOCK at a time in one workspace."""
     flat = np.asarray(values, dtype=np.uint64).reshape(-1)
     out = np.empty(flat.shape, dtype=np.uint64 if table is None else table.dtype)
-    radix = np.uint64(size)
+    work = np.empty((3, min(flat.size, KERNEL_BLOCK)), dtype=np.uint64)
     for start in range(0, flat.size, KERNEL_BLOCK):
-        high = flat[start : start + KERNEL_BLOCK]
-        acc = out[start : start + KERNEL_BLOCK]
-        top = int(high.max())  # one pass per digit of the largest value
-        acc[:] = 0
-        while True:
-            rest = high // radix
-            low = high - rest * radix
-            acc += low if table is None else table.take(low.view(np.int64))  # int64 gathers faster
-            high, top = rest, top // size
-            if not top:
-                break
+        block = flat[start : start + KERNEL_BLOCK]
+        _digit_block(block, table, size, out[start : start + KERNEL_BLOCK], work[:, : block.size])
     return out.reshape(np.shape(values))
 
 
@@ -145,18 +151,22 @@ def _root_table(denom: int) -> np.ndarray:
     return roots
 
 
+def _gathered_roots(modulus: int | float, theta: float) -> np.ndarray | None:
+    """The roots gathered at numerators mod `modulus` and a theta reduced mod 1: only
+    untwisted exact phases over D <= DIGIT_TABLE_CAP are gathered (None: an exp)."""
+    return _root_table(modulus) if theta == 0.0 and isinstance(modulus, int) and modulus <= DIGIT_TABLE_CAP else None
+
+
 def _square_codes(f: StronglyQMultiplicative, n: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray | None]:
     """(codes, roots) with f(n^2) e(theta n) = roots[codes] at a uint64 array n, or
     (values, None); theta is reduced mod 1 first (exactly), so theta * n keeps the
-    phase's digits.  Only untwisted exact phases over D <= DIGIT_TABLE_CAP are codes."""
+    phase's digits."""
     theta = math.fmod(theta, 1.0)
-    if theta == 0.0:
-        nums, modulus = _phase_numerators(f, n * n)
-        if isinstance(modulus, int) and modulus <= DIGIT_TABLE_CAP:
-            return nums, _root_table(modulus)
-        phases = nums / modulus
-    else:  # through phase_array, which the benchmark's per-layer trace times
-        phases = phase_array(f, n * n)
+    nums, modulus = _phase_numerators(f, n * n)
+    if (roots := _gathered_roots(modulus, theta)) is not None:
+        return nums, roots
+    phases = nums / modulus
+    if theta != 0.0:
         phases += frac(theta * n.astype(np.float64))
     return np.exp(2j * np.pi * phases), None
 
@@ -165,6 +175,23 @@ def _twisted_square(f: StronglyQMultiplicative, n: np.ndarray, theta: float) -> 
     """f(n^2) e(theta n) at a uint64 array n: the values, or the codes gathered."""
     codes, roots = _square_codes(f, n, theta)
     return codes if roots is None else roots.take(codes)
+
+
+def _lambda_block(f: StronglyQMultiplicative, n: np.ndarray, p: np.ndarray, theta: float, work: np.ndarray) -> np.ndarray:
+    """log(p) * _twisted_square(f, n, theta) at uint64 arrays n and p, theta reduced mod 1, by the same ops in
+    the same order in work's 4 uint64 rows: digits in 0-3, phases in 2, values in 0-1 as complex128 unless gathered."""
+    (table, size, modulus), rows, floats = _phase_table(f), work[:, : n.size], work.view(np.float64)[:, : n.size]
+    nums = _digit_block(np.multiply(n, n, out=rows[0]), table, size, rows[3].view(table.dtype), rows)
+    nums = _remainder(nums, modulus, rows[0].view(table.dtype))
+    if (roots := _gathered_roots(modulus, theta)) is not None:
+        g = roots.take(nums)
+    else:
+        phases = np.divide(nums, modulus, out=floats[2])
+        if theta != 0.0:
+            phases += frac(np.multiply(theta, n, out=floats[3]), floats[1])
+        g = work[:2].reshape(-1).view(np.complex128)[: n.size]
+        np.exp(np.multiply(2j * np.pi, phases, out=g), out=g)
+    return np.multiply(np.log(p, out=floats[3]), g, out=g)
 
 
 @dataclass(frozen=True)
@@ -183,18 +210,18 @@ class EquidistReport:
 def equidist_counts(x: int, q: int, m: int) -> EquidistReport:
     """Stream primes, bin s_q(p^2) mod m, report the discrepancy; the caps on q,
     m and x (in prime_arrays) are checked first.  Each array of the prime
-    stream is binned whole, so that every temporary is one block long."""
+    stream is binned whole, in the rows of one workspace that all reuse."""
     if q < 2 or m < 2:
         raise ValueError(f"need q >= 2 and m >= 2, got ({q}, {m})")
     if q >= 2**64:
         raise CapacityError(f"q = {q} exceeds 2**64 - 1, the largest base of the uint64 digit kernel")
     if m > EQUIDIST_BIN_CAP:
         raise CapacityError(f"m = {m} residue bins exceed the bin cap {EQUIDIST_BIN_CAP}")
-    counts = np.zeros(m, dtype=np.int64)
+    counts, work = np.zeros(m, dtype=np.int64), np.empty((4, BLOCK), dtype=np.uint64)
     for arr in prime_arrays(x):
-        p = arr.astype(np.uint64)
-        s = digit_sums_array(p * p, q)
-        counts += np.bincount(_remainder(s, np.uint64(m)).astype(np.int64), minlength=m)
+        rows, p = work[:, : arr.size], arr.view(np.uint64)
+        s = _digit_block(np.multiply(p, p, out=rows[0]), *_sum_table(q), rows[3], rows)
+        counts += np.bincount(_remainder(s, np.uint64(m), rows[0]).view(np.int64), minlength=m)
     pi_x = int(counts.sum())
     expected = pi_x / m
     disc = float(np.max(np.abs(counts - expected)) / pi_x) if pi_x else 0.0
@@ -227,19 +254,20 @@ def _lambda_sums(xs: list[int], f: StronglyQMultiplicative, theta: float) -> lis
     """
     _check_lambda_x(max(xs))
     totals = [0.0 + 0.0j] * len(xs)
+    theta, work = math.fmod(theta, 1.0), np.empty((4, BLOCK), dtype=np.uint64)
     for p in prime_arrays(max(xs)):
-        w = np.log(p.astype(np.float64)) * _twisted_square(f, p.astype(np.uint64), theta)
+        w = _lambda_block(f, p.view(np.uint64), p, theta, work)
         for i, cut in enumerate(np.searchsorted(p, xs, side="right").tolist()):
             totals[i] += complex(np.sum(w[:cut]))
     for arr in prime_arrays(math.isqrt(max(xs))):
         p = arr.astype(np.uint64)
-        logp, pk = np.log(arr.astype(np.float64)), p * p
+        pk = p * p
         while p.size:
-            w = logp * _twisted_square(f, pk, theta)
+            w = _lambda_block(f, pk, p, theta, work)
             for i, cut in enumerate(np.searchsorted(pk, xs, side="right").tolist()):
                 totals[i] += complex(np.sum(w[:cut]))
             keep = pk <= max(xs) // p
-            p, logp, pk = p[keep], logp[keep], pk[keep] * p[keep]
+            p, pk = p[keep], pk[keep] * p[keep]
     return totals
 
 

@@ -43,15 +43,15 @@ def e(x: float) -> complex:
     return cmath.exp(2j * math.pi * x)
 
 
-def frac(x: np.ndarray) -> np.ndarray:
+def frac(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """x mod 1 of a float array, bitwise equal to np.mod(x, 1.0) and faster.
 
     For x >= 0 both are exact; for x < 0 both round the true x - floor(x)
     once (fmod by 1 is exact, adding 1 rounds), and both give +0.0 on
-    integers.  The floor is taken into a fresh array and the difference is
-    written over it, so one temporary is allocated, not two.
+    integers.  The floor is taken into out (a fresh array for None) and the
+    difference is written over it, so at most one array is allocated, not two.
     """
-    y = np.floor(x)
+    y = np.floor(x, out=out)
     np.subtract(x, y, out=y)
     return y
 
@@ -111,11 +111,6 @@ def make_digit_exponential(q: int, gamma: Fraction | float) -> StronglyQMultipli
     else:
         phases = tuple(math.fmod(gamma * b, 1.0) % 1.0 for b in range(q))
     return StronglyQMultiplicative(q, phases)
-
-
-def make_constant_one(q: int) -> StronglyQMultiplicative:
-    """The constant function 1."""
-    return StronglyQMultiplicative(q, (Fraction(0),) * q)
 
 
 def thue_morse() -> StronglyQMultiplicative:

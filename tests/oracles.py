@@ -1,6 +1,7 @@
 """Independent brute-force references for the tests.
 
-Nothing in the library calls these: the von Mangoldt function by k-th root
+Nothing in the library calls these: the base-q digit sum by repeated
+divmod, the constant function 1, the von Mangoldt function by k-th root
 extraction and trial division, properness by trying every candidate
 gamma = k/(q-1) in Fraction arithmetic, the Fourier transform F_lam by its
 defining O(q**lam) sum over a digit-by-digit table of f, the quadratic
@@ -28,6 +29,20 @@ def holds(pair: tuple[float, float]) -> bool:
     bound, only exact == 0 holds."""
     exact, bound = pair
     return exact == 0 if bound == 0 else exact / bound <= 1.0 + 1e-9
+
+
+def digit_sum(n: int, q: int) -> int:
+    """Sum of the base-q digits of n >= 0."""
+    total = 0
+    while n:
+        n, b = divmod(n, q)
+        total += b
+    return total
+
+
+def make_constant_one(q: int) -> StronglyQMultiplicative:
+    """The constant function 1: every phase 0."""
+    return StronglyQMultiplicative(q, (Fraction(0),) * q)
 
 
 def _int_nth_root(n: int, k: int) -> int:

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import digit_sum
 
 from sqdigits.digits import (
     checked_pow,
-    digit_sum,
     rep_low,
     rep_window,
     to_digits,

@@ -7,13 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import _digit_value_table, eval_F_direct, quadratic_mean_rows
+from oracles import _digit_value_table, eval_F_direct, make_constant_one, quadratic_mean_rows
 
 from sqdigits import fourier
 from sqdigits.errors import CapacityError, DomainError, PreconditionError
 from sqdigits.qmult import (
     StronglyQMultiplicative,
-    make_constant_one,
     make_digit_exponential,
     thue_morse,
 )

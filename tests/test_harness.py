@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import mangoldt
+from oracles import digit_sum, make_constant_one, mangoldt
 
 from sqdigits import harness, sieve
 from sqdigits.errors import CapacityError, PreconditionError
@@ -14,7 +14,6 @@ from sqdigits.qmult import (
     StronglyQMultiplicative,
     evaluate,
     frac,
-    make_constant_one,
     make_digit_exponential,
     phase_of,
     thue_morse,
@@ -62,8 +61,6 @@ def _kernel_inputs(q: int, rng: np.random.Generator, size: int = 300) -> np.ndar
 
 
 def test_digit_sums_array_matches_scalar():
-    from sqdigits.digits import digit_sum
-
     rng = np.random.default_rng(2)
     v = rng.integers(0, 2**60, size=2000).astype(np.uint64)
     for q in (2, 3, 10):
@@ -143,6 +140,45 @@ def test_twisted_square_gather_is_the_exp_bitwise():
             expected = np.exp(2j * np.pi * harness.phase_array(f, n * n)).tobytes()
             for theta in (0.0, -0.0, 1.0, -3.0):  # all reduce to a zero twist
                 assert harness._twisted_square(f, n, theta).tobytes() == expected
+
+
+def _allocating_digit_loop(values, table, size):
+    """The digit kernel's per-digit loop written with fresh arrays for every
+    quotient, digit and gather: the reference for the block routine."""
+    acc = np.zeros(values.shape, dtype=np.uint64 if table is None else table.dtype)
+    high, radix, top = values, np.uint64(size), int(values.max(initial=0))
+    while True:
+        rest = high // radix
+        low = high - rest * radix
+        acc += low if table is None else table.take(low.view(np.int64))
+        high, top = rest, top // size
+        if not top:
+            return acc
+
+
+def test_digit_block_is_the_allocating_loop_bitwise():
+    # every table kind, in a workspace with stale contents, and with the input
+    # as the workspace's first row, as the prime streams pass it
+    kinds = [
+        (2**17, *harness._sum_table(2**17)),  # q above the table cap: identity weights
+        (3, *harness._sum_table(3)),  # uint64 digit sums
+        (5, *harness._phase_table(make_digit_exponential(5, Fraction(2, 7)))[:2]),  # int64 numerators
+        (3, *harness._phase_table(make_digit_exponential(3, 0.3721))[:2]),  # float phases
+    ]
+    assert [None if table is None else table.dtype for _, table, _ in kinds] == [None, np.uint64, np.int64, np.float64]
+    rng = np.random.default_rng(26)
+    work = np.empty((4, sieve.BLOCK), dtype=np.uint64)
+    for q, table, size in kinds:
+        for length in (0, 1, 7, sieve.BLOCK - 1, sieve.BLOCK):
+            values = rng.permutation(_kernel_inputs(q, rng, length))[:length]
+            expected = _allocating_digit_loop(values, table, size).tobytes()
+            rows = work[:, :length]
+            for source in (values, rows[0]):
+                work[...] = rng.integers(0, 2**64, size=work.shape, dtype=np.uint64, endpoint=False)
+                np.copyto(rows[0], values)
+                acc = rows[3].view(np.uint64 if table is None else table.dtype)
+                assert harness._digit_block(source, table, size, acc, rows) is acc
+                assert acc.tobytes() == expected
 
 
 def test_equidist_hand_case():
@@ -236,10 +272,24 @@ def _one_x_sum(x, f, theta):
     return total
 
 
+def _bits(sums):
+    return [(z.real.hex(), z.imag.hex()) for z in sums]
+
+
 def test_decay_fit_is_one_sweep_of_one_x_sums(monkeypatch):
     # a cut inside a block of primes, a prime, and the first value of the
     # second 2**20-flag segment
     xs = [500_000, 1_000_003, 3 + 2 * SEGMENT_SIZE]
+    # the four ways the workspace makes a value: gathered (theta 0, D = 2), an
+    # exp at theta 0 over D = 65537 > DIGIT_TABLE_CAP, twisted exact phases
+    # and float phases
+    for f, theta in (
+        (TM, 0.0),
+        (make_digit_exponential(3, Fraction(1, 65537)), 0.0),
+        (make_digit_exponential(3, Fraction(1, 3)), 0.3721),
+        (make_digit_exponential(5, 0.3721), 2.25),
+    ):
+        assert _bits(harness._lambda_sums(xs, f, theta)) == _bits(_one_x_sum(x, f, theta) for x in xs)
     theta = 0.3721
     expected = [_one_x_sum(x, TM, theta) for x in xs]
     assert [harness.lambda_weighted_sum(x, TM, theta) for x in xs] == expected
@@ -263,6 +313,39 @@ def test_decay_fit_does_not_depend_on_the_segment_size(monkeypatch):
     for segment_size in (1000, 2**16 + 1):
         monkeypatch.setattr(sieve, "SEGMENT_SIZE", segment_size)
         assert harness.decay_fit(xs, TM, 0.3721).values == values
+
+
+def test_prime_streams_reuse_one_workspace(monkeypatch):
+    # each array of a prime stream makes one digit-kernel call, and every call
+    # of one equidist or decay run works in the same buffer; each workspace is
+    # kept alive here, so one allocated per block could not reuse an address
+    digit_block, calls, arrays = harness._digit_block, [], []
+
+    def recording(values, table, size, acc, work):
+        owner = work if work.base is None else work.base
+        calls.append((values.size, owner.ctypes.data, owner))
+        return digit_block(values, table, size, acc, work)
+
+    def counted(x):
+        for arr in prime_arrays(x):
+            arrays.append(arr.size)
+            yield arr
+
+    monkeypatch.setattr(harness, "_digit_block", recording)
+    monkeypatch.setattr(harness, "prime_arrays", counted)
+    harness.equidist_counts(10**7, 3, 5)
+    assert [size for size, _, _ in calls] == arrays and len(arrays) == 11
+    assert len({address for _, address, _ in calls}) == 1
+    calls.clear()
+    arrays.clear()
+    x = 10**7
+    harness.decay_fit([10**5, 10**6, x], TM, 0.3721)
+    # the primes up to x, then the primes up to sqrt(x), whose powers p**k <= x
+    # take one call per exponent k >= 2
+    base = [int(p) for p in np.concatenate(list(prime_arrays(math.isqrt(x))))]
+    powers = [n for n in (sum(p**k <= x for p in base) for k in range(2, x.bit_length())) if n]
+    assert [size for size, _, _ in calls] == arrays[:-1] + powers and len(powers) == 22
+    assert len({address for _, address, _ in calls}) == 1
 
 
 def test_vaughan_lambda_sum_is_two_call_difference():
@@ -605,21 +688,26 @@ def test_vaughan_probe_checks_cap_before_rows(monkeypatch):
 def test_vaughan_probe_evaluates_its_window_once(monkeypatch):
     # the table of g on (x/q, x] is built by kernel calls on ascending chunks
     # of at most KERNEL_BLOCK values that cover it exactly once (three chunks
-    # here); the row blocks only slice it, so every later call is the Lambda
-    # sweep's own
+    # here); the row blocks only slice it, so every later kernel call (the
+    # Lambda sweep runs _lambda_block, not _square_codes) is the sweep's own
     x, q = 3 * 10**5, 2
     calls = []
-    square_codes, lambda_sums = harness._square_codes, harness._lambda_sums
+    square_codes, lambda_block, lambda_sums = harness._square_codes, harness._lambda_block, harness._lambda_sums
 
     def counting(f, n, theta):
         calls.append(n.copy())
         return square_codes(f, n, theta)
+
+    def counting_block(f, n, *args):
+        calls.append(n.copy())
+        return lambda_block(f, n, *args)
 
     def marked(*args):
         calls.append("lambda")
         return lambda_sums(*args)
 
     monkeypatch.setattr(harness, "_square_codes", counting)
+    monkeypatch.setattr(harness, "_lambda_block", counting_block)
     monkeypatch.setattr(harness, "_lambda_sums", marked)
     harness.vaughan_probe(x, q, TM, 0.0)
     cut = [isinstance(c, str) for c in calls].index(True)

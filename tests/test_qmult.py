@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import is_proper as is_proper_reference
+from oracles import make_constant_one
 from sqdigits import qmult
 from sqdigits.errors import CapacityError
 from sqdigits.qmult import (
@@ -19,7 +20,6 @@ from sqdigits.qmult import (
     evaluate,
     frac,
     is_proper,
-    make_constant_one,
     make_digit_exponential,
     phase_of,
     thue_morse,

@@ -10,7 +10,7 @@ import pytest
 from sqdigits import vaaler
 from sqdigits.errors import PreconditionError
 from sqdigits.fourier import eval_F
-from sqdigits.qmult import make_constant_one, make_digit_exponential, thue_morse
+from sqdigits.qmult import make_digit_exponential, thue_morse
 
 TM = thue_morse()
 
@@ -221,7 +221,7 @@ def test_twisted_zero_value():
 
 
 def test_truncated_f_H_constant():
-    f = make_constant_one(2)
+    f = oracles.make_constant_one(2)
     approx, bound = vaaler.truncated_f_H(f, 5, 0, 3, 2)
     assert abs(approx - 1.0) <= bound + 1e-9
 
