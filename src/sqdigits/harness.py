@@ -8,11 +8,12 @@ The centerpiece sums are
 
 together with the residue counts of s_q(p^2) mod m over primes.  All big
 sweeps run on one blocked digit-additive kernel (uint64, k digits per table
-lookup, rational phases as exact numerators mod D) with numpy's pairwise
-reduction; identical inputs therefore give bitwise identical reports.  A
-numerator k becomes e(k/D) by one division and exp, or, with no twist and
-D <= DIGIT_TABLE_CAP, by a lookup in a table of the D roots of unity built
-from the same k/D, so both give the same bits.  Every bilinear sum reads a
+lookup or, for integer weights at q = 2, one popcount; rational phases as
+exact numerators mod D) with numpy's pairwise reduction; identical inputs
+therefore give bitwise identical reports.  A numerator k becomes e(k/D) by
+one division and exp, or, with no twist and D <= DIGIT_TABLE_CAP, by a
+lookup in a table of the D roots of unity built from the same k/D, so both
+give the same bits.  Every bilinear sum reads a
 padded (m, n) block of g(mn) = f((mn)^2) e(theta mn): type_sums one chunk of
 whole rows (at most KERNEL_BLOCK pairs, or one longer row) per kernel call,
 added to running totals of S_20, S_I and its suffix maximum; the Vaughan
@@ -55,15 +56,19 @@ BETA1 = 0.2  # the Vaughan probe's type I / type II split; below 1/3
 # 1), over blocks of KERNEL_BLOCK values so that its temporaries stay small.
 # At most 64 passes each add an entry below D, so the exact int64 numerator
 # sums of rational phases stay below 2**63 while D < EXACT_DENOM_LIMIT.
+# Integer weights at q = 2 keep their 2-entry table [0, w]: the sum is then
+# w * popcount, at most 64 w < 2**63 too, by one bitwise_count and one multiply
+# (0.8-0.9 ns per element against 10-11 ns for the table passes; README).
 DIGIT_TABLE_CAP = 1 << 16
 KERNEL_BLOCK = 1 << 16
 EXACT_DENOM_LIMIT = 1 << 57
 
 
 def _block_table(weights: np.ndarray, modulus: int | float | None) -> tuple[np.ndarray, int]:
-    """(table, q**k): table[j] is the weight sum (mod modulus) of the k base-q digits of j."""
+    """(table, q**k): table[j] is the weight sum (mod modulus) of the k base-q digits of j;
+    integer weights at q = 2 stay the 2 weights, for _digit_block's popcount."""
     table, size, q = weights, len(weights), len(weights)
-    while size * q <= DIGIT_TABLE_CAP:
+    while size * q <= DIGIT_TABLE_CAP and (q > 2 or weights.dtype.kind == "f"):
         table = (table[:, None] + weights).ravel()  # j = a*q + b
         table = table if modulus is None else table % modulus
         size *= q
@@ -97,7 +102,11 @@ def _remainder(x: np.ndarray, d: int | float | np.uint64, out: np.ndarray | None
 def _digit_block(values: np.ndarray, table: np.ndarray | None, size: int, acc: np.ndarray, work: np.ndarray) -> np.ndarray:
     """acc = the sum of table[d] (of d for table None) over the base-`size` digits d
     of each uint64 value, one pass per digit of the largest: the quotients go to
-    work[1] and work[0] in turn (values may be work[0]), the digits to work[2]."""
+    work[1] and work[0] in turn (values may be work[0]), the digits to work[2].  At
+    radix 2 the table is [0, w] (f(0) = 1: StronglyQMultiplicative refuses a nonzero
+    phases[0]), so the sum is w times the count of 1 bits, and work is not read."""
+    if size == 2:
+        return np.multiply(np.bitwise_count(values, out=acc), table[1], out=acc)
     radix, top, high, row = np.uint64(size), int(values.max(initial=0)), values, 1
     acc[...] = 0
     while True:
@@ -113,7 +122,7 @@ def _digit_additive(values: np.ndarray, table: np.ndarray | None, size: int) -> 
     """_digit_block on values of any shape, KERNEL_BLOCK at a time in one workspace."""
     flat = np.asarray(values, dtype=np.uint64).reshape(-1)
     out = np.empty(flat.shape, dtype=np.uint64 if table is None else table.dtype)
-    work = np.empty((3, min(flat.size, KERNEL_BLOCK)), dtype=np.uint64)
+    work = np.empty((0 if size == 2 else 3, min(flat.size, KERNEL_BLOCK)), dtype=np.uint64)
     for start in range(0, flat.size, KERNEL_BLOCK):
         block = flat[start : start + KERNEL_BLOCK]
         _digit_block(block, table, size, out[start : start + KERNEL_BLOCK], work[:, : block.size])

@@ -151,6 +151,67 @@ def test_reports_byte_identical(tmp_path):
     assert out1.read_bytes() != out3.read_bytes()
 
 
+# jobs re-run with numpy's dispatched SIMD kernels disabled, and the error their
+# floats may move by (README, "CLI"): relative above 1, absolute below, where a
+# quantity that is zero in exact arithmetic is rounding noise of any sign
+DISPATCH_JOBS = [
+    ["verify", "--q", "2", "--seed", "1"],
+    ["typesums", "--q", "2", "--mu", "8", "--nu", "10", "--theta", "0.3", "--seed", "1"],
+    ["equidist", "--q", "2", "--x", "1e6"],
+    ["decay", "--q", "2", "--xs", "1e4,1e5,1e6", "--theta", "0.3721"],
+    ["expsum", "--family", "vdc", "--seed", "1"],
+]
+DISPATCH_TOL = 1e-12
+
+
+def _disagreements(a, b, path=()):
+    """The paths where two parsed reports differ: in shape, in any value that
+    is not a float, or in a float by more than DISPATCH_TOL."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return [d for k in a for d in _disagreements(a[k], b[k], path + (k,))]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [d for i, (x, y) in enumerate(zip(a, b)) for d in _disagreements(x, y, path + (i,))]
+    if type(a) is float and type(b) is float:
+        close = math.isclose(a, b, rel_tol=DISPATCH_TOL, abs_tol=DISPATCH_TOL) or math.isnan(a) and math.isnan(b)
+        return [] if close else [(path, a, b)]
+    return [] if type(a) is type(b) and a == b else [(path, a, b)]
+
+
+def test_reports_agree_across_cpu_dispatch(tmp_path):
+    # byte identity holds at one dispatch level; with every SIMD feature numpy
+    # dispatches to on this CPU disabled, the exit codes, pass flags and
+    # strings must stay and each float within DISPATCH_TOL
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    disabled = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+    script = (
+        "import json, sys\n"
+        "from numpy._core._multiarray_umath import __cpu_features__\n"
+        "from sqdigits import cli\n"
+        "jobs, out, disabled = json.loads(sys.argv[1])\n"
+        "assert not any(__cpu_features__[name] for name in disabled)\n"
+        "print(json.dumps([cli.main(argv + ['--output', f'{out}/{i}.json']) for i, argv in enumerate(jobs)]))\n"
+    )
+    (tmp_path / "native").mkdir()
+    (tmp_path / "reduced").mkdir()
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, path)),
+        "NPY_DISABLE_CPU_FEATURES": " ".join(disabled),
+    }
+    args = json.dumps([DISPATCH_JOBS, str(tmp_path / "reduced"), disabled])
+    done = subprocess.run(
+        [sys.executable, "-c", script, args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    codes = [run_cli(argv, tmp_path / "native", f"{i}.json")[0] for i, argv in enumerate(DISPATCH_JOBS)]
+    assert json.loads(done.stdout) == codes
+    for i, argv in enumerate(DISPATCH_JOBS):
+        native, reduced = (json.loads((tmp_path / side / f"{i}.json").read_text()) for side in ("native", "reduced"))
+        assert _disagreements(native, reduced) == [], argv
+
+
 def test_csv_format(tmp_path):
     code, out = run_cli(
         ["expsum", "--family", "geometric", "--seed", "2", "--format", "csv"],

@@ -67,7 +67,7 @@ def test_digit_sums_array_matches_scalar():
         bulk = harness.digit_sums_array(v, q)
         for x, s in zip(v[:100], bulk[:100]):
             assert int(s) == digit_sum(int(x), q)
-    for q in (2, 3, 5, 10, 2**17):
+    for q in (2, 3, 4, 5, 10, 2**17):
         v = _kernel_inputs(q, rng)
         bulk = harness.digit_sums_array(v, q)
         assert bulk.dtype == np.uint64
@@ -111,12 +111,20 @@ def test_phase_array_matches_evaluate():
     for f in (
         make_digit_exponential(3, 0.1234567),
         StronglyQMultiplicative(3, (Fraction(0), Fraction(big - 1, big), Fraction(big - 2, big))),
+        make_digit_exponential(2, 0.1234567),
     ):
         v = _kernel_inputs(f.q, rng)
         phases = harness.phase_array(f, v)
         for x, p in zip(v, phases):
             d = abs(p - float(phase_of(f, int(x))))
             assert min(d, 1 - d) < 1e-12
+    # the int64 bound of the binary kernel: at 2**64 - 1, 64 ones times the
+    # numerator D - 2 of the largest exact D is 2**63 - 192, one step from a wrap
+    f = make_digit_exponential(2, Fraction(2**57 - 3, 2**57 - 1))
+    v = _kernel_inputs(2, rng)
+    assert v.max() == 2**64 - 1
+    nums, denom = harness._phase_numerators(f, v)
+    assert nums.tolist() == [int(phase_of(f, int(x)) * denom) for x in v]
 
 
 def test_twisted_square_gather_is_the_exp_bitwise():
@@ -164,8 +172,16 @@ def test_digit_block_is_the_allocating_loop_bitwise():
         (3, *harness._sum_table(3)),  # uint64 digit sums
         (5, *harness._phase_table(make_digit_exponential(5, Fraction(2, 7)))[:2]),  # int64 numerators
         (3, *harness._phase_table(make_digit_exponential(3, 0.3721))[:2]),  # float phases
+        (2, *harness._sum_table(2)),  # binary digit sums: the popcount
+        (2, *harness._phase_table(make_digit_exponential(2, Fraction(2**57 - 3, 2**57 - 1)))[:2]),  # its multiple
+        (2, *harness._phase_table(make_digit_exponential(2, 0.3721))[:2]),  # binary float phases: table passes
     ]
-    assert [None if table is None else table.dtype for _, table, _ in kinds] == [None, np.uint64, np.int64, np.float64]
+    assert [None if table is None else table.dtype for _, table, _ in kinds] == [
+        None, np.uint64, np.int64, np.float64, np.uint64, np.int64, np.float64
+    ]
+    # only integer weights at q = 2 keep their 2 entries; float sums would round
+    # differently as one product than as the table passes' additions
+    assert [size for _, _, size in kinds] == [2**17, 3**10, 5**6, 3**10, 2, 2, 2**16]
     rng = np.random.default_rng(26)
     work = np.empty((4, sieve.BLOCK), dtype=np.uint64)
     for q, table, size in kinds:
