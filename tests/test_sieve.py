@@ -2,6 +2,8 @@
 von Mangoldt oracle."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -148,10 +150,109 @@ def test_prime_counts(x, count):
     assert sum(len(arr) for arr in sieve.prime_arrays(x)) == count
 
 
-def test_prime_cap():
-    # refused on the first next(), before the array [2]
+def test_prime_cap(monkeypatch):
+    # refused on the first next(), before the array [2] and before the
+    # producer thread starts
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a producer thread was started for a refused x")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    before = threading.active_count()
     with pytest.raises(CapacityError):
         next(sieve.prime_arrays(2 * 10**9))
+    assert threading.active_count() == before
+
+
+def test_arrays_are_fresh_buffers_in_order(monkeypatch):
+    # 2000-number segments, so the carry fills every array across many
+    # segments; six arrays, more than the handoff holds at once.  Each array
+    # kept is its own buffer, still as it was handed over, and together they
+    # are the monolithic sieve's primes in order
+    x = 5 * 10**6
+    monkeypatch.setattr(sieve, "SEGMENT_SIZE", 1000)
+    kept = [(arr, arr.copy()) for arr in sieve.prime_arrays(x)]
+    arrays = [arr for arr, _ in kept]
+    assert len(arrays) == 6
+    assert all(np.array_equal(arr, copy) for arr, copy in kept)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i])
+    assert np.array_equal(np.concatenate(arrays), np.flatnonzero(_monolithic_flags(x)))
+
+
+def test_one_producer_thread_per_stream():
+    before = threading.active_count()
+    stream = sieve.prime_arrays(10**8)
+    assert threading.active_count() == before  # nothing starts before the first next()
+    next(stream)
+    assert threading.active_count() == before + 1
+    assert sum(len(arr) for arr in stream) == PI_TABLE[10**8] - sieve.BLOCK
+    assert threading.active_count() == before
+
+
+def test_producer_is_joined_when_the_caller_stops_early():
+    before = threading.active_count()
+    for _ in sieve.prime_arrays(10**8):
+        break
+    assert threading.active_count() == before
+    stream = sieve.prime_arrays(10**8)
+    next(stream)
+    stream.close()
+    assert threading.active_count() == before
+    with pytest.raises(KeyError, match="consumer"):
+        for _ in sieve.prime_arrays(10**8):
+            raise KeyError("consumer")
+    assert threading.active_count() == before
+
+
+def test_streams_under_fast_thread_switching(monkeypatch):
+    # three callers, each with its own stream, six threads on the cores; with
+    # 97-prime arrays and a switch every microsecond, a lost or repeated
+    # handoff would show as a missing, doubled or reordered prime
+    x = 10**5
+    monkeypatch.setattr(sieve, "BLOCK", 97)
+    expected = np.flatnonzero(_monolithic_flags(x))
+    results = {}
+
+    def consume(i):
+        results[i] = [arr.copy() for arr in sieve.prime_arrays(x)]
+
+    callers = [threading.Thread(target=consume, args=(i,)) for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for arrays in (results[i] for i in range(3)):
+        assert [len(arr) for arr in arrays[:-1]] == [97] * (len(arrays) - 1)
+        assert np.array_equal(np.concatenate(arrays), expected)
+
+
+class SieveFault(Exception):
+    pass
+
+
+def test_producer_error_reaches_the_caller(monkeypatch):
+    # the fault comes in the third outer segment, after arrays went out
+    sieve_segment = sieve._sieve_segment
+
+    def faulty(lo, hi, odd_base):
+        if lo > 4 * sieve.SEGMENT_SIZE:
+            raise SieveFault(f"no segment at {lo}")
+        return sieve_segment(lo, hi, odd_base)
+
+    monkeypatch.setattr(sieve, "_sieve_segment", faulty)
+    before, lengths = threading.active_count(), []
+    with pytest.raises(SieveFault, match=f"^no segment at {4 * sieve.SEGMENT_SIZE + 3}$"):
+        for arr in sieve.prime_arrays(10**8):
+            lengths.append(len(arr))
+    # every array completed before the fault, in order, and nothing after it
+    full = np.count_nonzero(_monolithic_flags(4 * sieve.SEGMENT_SIZE + 2)) // sieve.BLOCK
+    assert lengths == [sieve.BLOCK] * full and full == 4
+    assert threading.active_count() == before
 
 
 def test_mangoldt_point_values():
