@@ -13,14 +13,15 @@ exact numerators mod D) with numpy's pairwise reduction; identical inputs
 therefore give bitwise identical reports.  A numerator k becomes e(k/D) by
 one division and exp, or, with no twist and D <= DIGIT_TABLE_CAP, by a
 lookup in a table of the D roots of unity built from the same k/D, so both
-give the same bits.  Every bilinear sum reads a
-padded (m, n) block of g(mn) = f((mn)^2) e(theta mn): type_sums one chunk of
-whole rows (at most KERNEL_BLOCK pairs, or one longer row) per kernel call,
-added to running totals of S_20, S_I and its suffix maximum; the Vaughan
-probe each q-adic block, copied along its shorter axis from one table of g
-on (x/q, x].  Where g is gathered, the table holds the numerators k (2 bytes
-below D = 2**16), and each block is gathered into one complex buffer that
-all blocks reuse.
+give the same bits.  One routine, _square_codes, computes g(n) = f(n^2)
+e(theta n), in a workspace its caller holds.  Every bilinear sum reads a
+padded (m, n) block of g(mn): type_sums one chunk of whole rows (at most
+KERNEL_BLOCK pairs, or one longer row) per kernel call, added to running
+totals of S_20, S_I and its suffix maximum; the Vaughan probe each q-adic
+block, copied along its shorter axis from one table of g on (x/q, x].
+Where g is gathered, the table holds the numerators k (2 bytes below
+D = 2**16), and each block is gathered into one complex buffer that all
+blocks reuse.
 
 Parameter plans reproduce the explicit recipes used to make the type II
 and type I machinery non-trivial: every derived quantity is integer
@@ -166,41 +167,31 @@ def _gathered_roots(modulus: int | float, theta: float) -> np.ndarray | None:
     return _root_table(modulus) if theta == 0.0 and isinstance(modulus, int) and modulus <= DIGIT_TABLE_CAP else None
 
 
-def _square_codes(f: StronglyQMultiplicative, n: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """(codes, roots) with f(n^2) e(theta n) = roots[codes] at a uint64 array n, or
-    (values, None); theta is reduced mod 1 first (exactly), so theta * n keeps the
-    phase's digits."""
+def _square_codes(
+    f: StronglyQMultiplicative, n: np.ndarray, theta: float, work: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(codes, roots) with f(n^2) e(theta n) = roots[codes] at a uint64 array n, or (values, None), computed
+    in the C-contiguous (4, len) uint64 workspace work, len >= n.size, that both results are views of: digits
+    in rows 0-3, phases in 2, values in 0-1 as complex128.  theta is reduced mod 1 first (exactly), so theta * n
+    keeps the phase's digits."""
     theta = math.fmod(theta, 1.0)
-    nums, modulus = _phase_numerators(f, n * n)
-    if (roots := _gathered_roots(modulus, theta)) is not None:
-        return nums, roots
-    phases = nums / modulus
-    if theta != 0.0:
-        phases += frac(theta * n.astype(np.float64))
-    return np.exp(2j * np.pi * phases), None
-
-
-def _twisted_square(f: StronglyQMultiplicative, n: np.ndarray, theta: float) -> np.ndarray:
-    """f(n^2) e(theta n) at a uint64 array n: the values, or the codes gathered."""
-    codes, roots = _square_codes(f, n, theta)
-    return codes if roots is None else roots.take(codes)
-
-
-def _lambda_block(f: StronglyQMultiplicative, n: np.ndarray, p: np.ndarray, theta: float, work: np.ndarray) -> np.ndarray:
-    """log(p) * _twisted_square(f, n, theta) at uint64 arrays n and p, theta reduced mod 1, by the same ops in
-    the same order in work's 4 uint64 rows: digits in 0-3, phases in 2, values in 0-1 as complex128 unless gathered."""
     (table, size, modulus), rows, floats = _phase_table(f), work[:, : n.size], work.view(np.float64)[:, : n.size]
     nums = _digit_block(np.multiply(n, n, out=rows[0]), table, size, rows[3].view(table.dtype), rows)
     nums = _remainder(nums, modulus, rows[0].view(table.dtype))
     if (roots := _gathered_roots(modulus, theta)) is not None:
-        g = roots.take(nums)
-    else:
-        phases = np.divide(nums, modulus, out=floats[2])
-        if theta != 0.0:
-            phases += frac(np.multiply(theta, n, out=floats[3]), floats[1])
-        g = work[:2].reshape(-1).view(np.complex128)[: n.size]
-        np.exp(np.multiply(2j * np.pi, phases, out=g), out=g)
-    return np.multiply(np.log(p, out=floats[3]), g, out=g)
+        return nums, roots
+    phases = np.divide(nums, modulus, out=floats[2])
+    if theta != 0.0:
+        phases += frac(np.multiply(theta, n, out=floats[3]), floats[1])
+    values = work[:2].reshape(-1).view(np.complex128)[: n.size]
+    return np.exp(np.multiply(2j * np.pi, phases, out=values), out=values), None
+
+
+def _lambda_block(f: StronglyQMultiplicative, n: np.ndarray, p: np.ndarray, theta: float, work: np.ndarray) -> np.ndarray:
+    """log(p) f(n^2) e(theta n) at uint64 arrays n and p, by _square_codes in work; row 3 takes log(p)."""
+    g, roots = _square_codes(f, n, theta, work)
+    g = g if roots is None else roots.take(g)
+    return np.multiply(np.log(p, out=work.view(np.float64)[3, : n.size]), g, out=g)
 
 
 @dataclass(frozen=True)
@@ -263,7 +254,7 @@ def _lambda_sums(xs: list[int], f: StronglyQMultiplicative, theta: float) -> lis
     """
     _check_lambda_x(max(xs))
     totals = [0.0 + 0.0j] * len(xs)
-    theta, work = math.fmod(theta, 1.0), np.empty((4, BLOCK), dtype=np.uint64)
+    work = np.empty((4, BLOCK), dtype=np.uint64)
     for p in prime_arrays(max(xs)):
         w = _lambda_block(f, p.view(np.uint64), p, theta, work)
         for i, cut in enumerate(np.searchsorted(p, xs, side="right").tolist()):
@@ -381,10 +372,10 @@ def type_sums(
       by its maximum over all suffix intervals: it only changes at integer
       endpoints, so scanning every cumulative suffix sum is exact.
 
-    The rectangle is built and reduced one _row_chunks chunk at a time, by one
-    kernel call on the flat outer product of the chunk's m with n, and each
-    sum adds its row values in row order, so no array holds more than one
-    chunk of rows and the sums do not depend on the chunk size.
+    The rectangle is built and reduced one _row_chunks chunk at a time, in one
+    workspace, by one kernel call on the flat outer product of the chunk's m
+    with n, and each sum adds its row values in row order, so no array holds
+    more than one chunk of rows and the sums do not depend on the chunk size.
     """
     q = f.q
     rows, cols = rectangle_shape(q, mu, nu)
@@ -397,8 +388,12 @@ def type_sums(
     m = np.arange(q ** (mu - 1), q**mu, dtype=np.uint64)
     n = np.arange(q ** (nu - 1), q**nu, dtype=np.uint64)
     s20, si, si_max = 0j, 0.0, 0.0
+    work = np.empty((4, min(rows, max(1, KERNEL_BLOCK // cols)) * cols), dtype=np.uint64)  # the largest chunk
     for chunk in _row_chunks(rows, cols):
-        g = _twisted_square(f, (m[chunk, None] * n).reshape(-1), theta).reshape(-1, cols)
+        g, roots = _square_codes(f, (m[chunk, None] * n).reshape(-1), theta, work)
+        if roots is not None:  # into rows 2-3: the codes are in row 0
+            g = roots.take(g, out=work[2:].reshape(-1).view(np.complex128)[: g.size])
+        g = g.reshape(-1, cols)
         s20 = _add_in_order(s20, a[chunk] * (g * b).sum(axis=1))
         # hypot rounds as Python's abs(complex) does; numpy's complex abs does not
         si = _add_in_order(si, np.hypot((s := g.sum(axis=1)).real, s.imag))
@@ -506,15 +501,16 @@ class VaughanProbe:
 def _probe_blocks(
     f: StronglyQMultiplicative, x: int, q: int, theta: float, Ms: list[int]
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(size, dense) of the probe's block at each M in Ms (M/q < m <= M, x/(qm) < n <= x/m), sliced from
-    a table of g on (x/q, x] built KERNEL_BLOCK values at a time; codes are gathered into one buffer."""
-    k0, table = x // q + 1, None
+    """(size, dense) of the probe's block at each M in Ms (M/q < m <= M, x/(qm) < n <= x/m), sliced from a
+    table of g on (x/q, x] built KERNEL_BLOCK values at a time in one workspace; codes are gathered into one buffer."""
+    k0, roots = x // q + 1, _gathered_roots(_phase_table(f)[2], math.fmod(theta, 1.0))  # as _square_codes does
+    pad, decode = (0, None) if roots is None else (roots.size, np.append(roots, 0j))
+    table = np.empty(x + 1 - k0, np.complex128 if roots is None else np.uint16 if pad < 2**16 else np.uint32)
+    work = np.empty((4, KERNEL_BLOCK), dtype=np.uint64)  # after the table, so that freeing it leaves no hole below
     for a in range(k0, x + 1, KERNEL_BLOCK):
-        codes, roots = _square_codes(f, np.arange(a, min(a + KERNEL_BLOCK, x + 1), dtype=np.uint64), theta)
-        if table is None:
-            pad, decode = (0, None) if roots is None else (roots.size, np.append(roots, 0j))
-            table = np.empty(x + 1 - k0, codes.dtype if roots is None else np.uint16 if pad < 2**16 else np.uint32)
+        codes = _square_codes(f, np.arange(a, min(a + KERNEL_BLOCK, x + 1), dtype=np.uint64), theta, work)[0]
         table[a - k0 : a - k0 + codes.size] = codes
+    del work, codes  # before the blocks' buffer
     largest = max((min(M, x) - M // q) * (x // (M // q + 1) - x // (q * min(M, x))) for M in Ms)
     out = np.empty(0 if roots is None else largest, dtype=np.complex128)
     for M in Ms:

@@ -459,13 +459,13 @@ def test_unwritable_output_is_usage_error(tmp_path, monkeypatch, capsys):
 
 def test_typesums_builds_its_rectangle_once(tmp_path, monkeypatch):
     calls = []
-    twisted_square = harness._twisted_square
+    square_codes = harness._square_codes
 
-    def counting(f, n, theta):
+    def counting(f, n, theta, work):
         calls.append(len(n))
-        return twisted_square(f, n, theta)
+        return square_codes(f, n, theta, work)
 
-    monkeypatch.setattr(harness, "_twisted_square", counting)
+    monkeypatch.setattr(harness, "_square_codes", counting)
     argv = ["typesums", "--q", "2", "--gamma", "1/2", "--mu", "8", "--nu", "14"]
     assert run_cli(argv, tmp_path)[0] == cli.EXIT_OK
     rectangle = (2**8 - 2**7) * (2**14 - 2**13)

@@ -42,7 +42,7 @@ def _psi(x: int) -> float:
 def _g(f: StronglyQMultiplicative, n: np.ndarray, theta: float) -> np.ndarray:
     """f(n^2) e(theta n) written out as the exp of phase_array plus the reduced
     twist: the reference for the row blocks and Lambda sums, whichever way
-    _twisted_square evaluates them."""
+    _square_codes evaluates them."""
     phases = harness.phase_array(f, n * n)
     theta = math.fmod(theta, 1.0)
     if theta != 0.0:
@@ -127,27 +127,54 @@ def test_phase_array_matches_evaluate():
     assert nums.tolist() == [int(phase_of(f, int(x)) * denom) for x in v]
 
 
+# gathered and exp'd phases: D = 2, 3, 7, 11, 1 and 65536 are gathered at theta
+# 0, D = 65537 and float phases always take the exp
+TWISTED_FS = (
+    make_digit_exponential(2, Fraction(1, 2)),
+    make_digit_exponential(3, Fraction(1, 3)),
+    make_digit_exponential(5, Fraction(2, 7)),
+    make_digit_exponential(10, Fraction(3, 11)),
+    make_constant_one(3),
+    make_digit_exponential(2, Fraction(12345, 65536)),  # the largest gathered D
+    make_digit_exponential(3, Fraction(1, 65537)),  # D above the cap: exp
+    make_digit_exponential(3, 0.3721),  # float phases: exp
+)
+
+
+def _twisted_square(f, n, theta, work=None):
+    """f(n^2) e(theta n) by _square_codes, in work or a fresh workspace, with
+    the codes gathered where it returns codes."""
+    work = np.empty((4, n.size), dtype=np.uint64) if work is None else work
+    codes, roots = harness._square_codes(f, n, theta, work)
+    return codes if roots is None else roots.take(codes)
+
+
 def test_twisted_square_gather_is_the_exp_bitwise():
     # untwisted exact phases over D <= DIGIT_TABLE_CAP come from the table of
     # D roots of unity; every entry must be the exp of the same float num/D
-    fs = [
-        make_digit_exponential(2, Fraction(1, 2)),
-        make_digit_exponential(3, Fraction(1, 3)),
-        make_digit_exponential(5, Fraction(2, 7)),
-        make_digit_exponential(10, Fraction(3, 11)),
-        make_constant_one(3),
-        make_digit_exponential(2, Fraction(12345, 65536)),  # the largest gathered D
-        make_digit_exponential(3, Fraction(1, 65537)),  # D above the cap: exp
-        make_digit_exponential(3, 0.3721),  # float phases: exp
-    ]
-    assert [harness._phase_table(f)[2] for f in fs] == [2, 3, 7, 11, 1, 65536, 65537, 1.0]
+    assert [harness._phase_table(f)[2] for f in TWISTED_FS] == [2, 3, 7, 11, 1, 65536, 65537, 1.0]
     rng = np.random.default_rng(12)
-    for f in fs:
+    for f in TWISTED_FS:
         for length in (0, 1, 7, harness.KERNEL_BLOCK + 3):
             n = rng.integers(0, 2**32, size=length, dtype=np.uint64)
             expected = np.exp(2j * np.pi * harness.phase_array(f, n * n)).tobytes()
             for theta in (0.0, -0.0, 1.0, -3.0):  # all reduce to a zero twist
-                assert harness._twisted_square(f, n, theta).tobytes() == expected
+                assert _twisted_square(f, n, theta).tobytes() == expected
+
+
+def test_square_codes_reads_nothing_of_a_dirty_workspace():
+    # every row is written before it is read: one workspace, filled with 0xFF
+    # bytes (NaN in the float rows) before each call and reused by calls with
+    # different f, gives the reference's bytes, twisted or not
+    work = np.empty((4, harness.KERNEL_BLOCK + 3), dtype=np.uint64)
+    rng = np.random.default_rng(13)
+    for length in (0, 1, 7, harness.KERNEL_BLOCK + 3):
+        n = rng.integers(0, 2**32, size=length, dtype=np.uint64)
+        for theta in (0.0, 0.37, 1.37, -3.0):
+            for f in TWISTED_FS:
+                work.view(np.uint8).fill(0xFF)
+                assert np.isnan(work.view(np.float64)).all()
+                assert _twisted_square(f, n, theta, work).tobytes() == _g(f, n, theta).tobytes()
 
 
 def _allocating_digit_loop(values, table, size):
@@ -641,7 +668,7 @@ def test_rectangle_matches_per_row_reference(monkeypatch):
         (7, 2, 2, make_digit_exponential(7, Fraction(2, 7)), 0.61),
     ]
     rng = np.random.default_rng(3)
-    twisted_square = harness._twisted_square
+    square_codes = harness._square_codes
     long_rows = []
     for q, mu, nu, f, theta in cases:
         m = np.arange(q ** (mu - 1), q**mu, dtype=np.uint64)
@@ -650,26 +677,30 @@ def test_rectangle_matches_per_row_reference(monkeypatch):
         a = np.exp(2j * np.pi * rng.random(m.size))
         b = np.exp(2j * np.pi * rng.random(n.size))
         # each call gets the flat outer product of one _row_chunks chunk of m
-        # with n, and returns exactly its reference rows; a row longer than
-        # KERNEL_BLOCK is a chunk of its own
+        # with n, in one workspace sized to the largest chunk, and returns
+        # exactly its reference rows; a row longer than KERNEL_BLOCK is a
+        # chunk of its own
         for block in (7, 64):
             calls = []
 
-            def recording(f, pairs, theta):
-                g = twisted_square(f, pairs, theta)
-                calls.append((pairs, g))
-                return g
+            def recording(f, pairs, theta, work):
+                codes, roots = square_codes(f, pairs, theta, work)
+                g = codes if roots is None else roots.take(codes)
+                calls.append((pairs, g.copy(), work))  # the next chunk reuses work
+                return codes, roots
 
             with monkeypatch.context() as patch:
                 patch.setattr(harness, "KERNEL_BLOCK", block)
-                patch.setattr(harness, "_twisted_square", recording)
+                patch.setattr(harness, "_square_codes", recording)
                 harness.type_sums(mu, nu, f, theta, a, b)
                 chunks = list(harness._row_chunks(m.size, n.size))
             assert len(calls) == len(chunks)
+            assert all(work is calls[0][2] for _, _, work in calls)
+            assert calls[0][2].shape == (4, max(m[chunk].size for chunk in chunks) * n.size)
             long_rows.append(n.size > block)
             if long_rows[-1]:
                 assert len(calls) == m.size
-            for (pairs, g), chunk in zip(calls, chunks):
+            for (pairs, g, _), chunk in zip(calls, chunks):
                 assert pairs.dtype == np.uint64 and np.array_equal(pairs, (m[chunk, None] * n).ravel())
                 assert g.shape == (reference[chunk].size,) and g.tobytes() == reference[chunk].tobytes()
         # numpy's complex product is not bitwise commutative, so the
@@ -704,26 +735,22 @@ def test_vaughan_probe_checks_cap_before_rows(monkeypatch):
 def test_vaughan_probe_evaluates_its_window_once(monkeypatch):
     # the table of g on (x/q, x] is built by kernel calls on ascending chunks
     # of at most KERNEL_BLOCK values that cover it exactly once (three chunks
-    # here); the row blocks only slice it, so every later kernel call (the
-    # Lambda sweep runs _lambda_block, not _square_codes) is the sweep's own
+    # here); the row blocks only slice it, so every kernel call after the
+    # "lambda" mark (the Lambda sweep's _lambda_block calls _square_codes
+    # too) is the sweep's own
     x, q = 3 * 10**5, 2
     calls = []
-    square_codes, lambda_block, lambda_sums = harness._square_codes, harness._lambda_block, harness._lambda_sums
+    square_codes, lambda_sums = harness._square_codes, harness._lambda_sums
 
-    def counting(f, n, theta):
+    def counting(f, n, theta, work):
         calls.append(n.copy())
-        return square_codes(f, n, theta)
-
-    def counting_block(f, n, *args):
-        calls.append(n.copy())
-        return lambda_block(f, n, *args)
+        return square_codes(f, n, theta, work)
 
     def marked(*args):
         calls.append("lambda")
         return lambda_sums(*args)
 
     monkeypatch.setattr(harness, "_square_codes", counting)
-    monkeypatch.setattr(harness, "_lambda_block", counting_block)
     monkeypatch.setattr(harness, "_lambda_sums", marked)
     harness.vaughan_probe(x, q, TM, 0.0)
     cut = [isinstance(c, str) for c in calls].index(True)

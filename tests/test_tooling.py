@@ -140,3 +140,18 @@ def test_each_capacity_refusal_is_raised_once():
                 template = _message_template(node.exc.args[0])
                 raised.setdefault(template, []).append(f"{path.name}:{node.lineno}")
     assert {template: where for template, where in raised.items() if len(where) > 1} == {}
+
+
+def test_one_routine_computes_the_twisted_square():
+    # f(n^2) e(theta n) is computed by _square_codes alone, and the root table
+    # is the exp of the same k/D: any other np.exp in harness.py is a second
+    # copy of the twisted-square ops
+    tree = ast.parse((PACKAGE / "harness.py").read_text())
+    owners = {
+        getattr(top, "name", None)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "exp"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+    }
+    assert owners == {"_root_table", "_square_codes"}
